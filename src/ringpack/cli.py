@@ -16,7 +16,6 @@ import sys
 import time
 from pathlib import Path
 
-from .geometry import VerifyLimits
 from .model import (
     Instance,
     generate_instance,
@@ -62,7 +61,6 @@ def _config_from(args) -> SolveConfig:
             overrides[key] = caster(value)
         except ValueError:
             raise SystemExit(f"bad value for {key}: {value!r}") from None
-    overrides["deterministic"] = args.deterministic
     return dataclasses.replace(config, **overrides)
 
 
@@ -120,9 +118,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.instance)
-    limits = VerifyLimits(time_limit=args.limit)
     started = time.perf_counter()
-    sets = enumerate_patterns(inst, limits=limits, budget=args.budget)
+    sets = enumerate_patterns(inst, limit=args.limit, budget=args.budget)
     elapsed = time.perf_counter() - started
     print(
         f"feasible={len(sets.feasible)} unknown={len(sets.unknown)} "
@@ -197,11 +194,6 @@ def _add_solveish_flags(sub) -> None:
                      help="budget profile (default: paper)")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one SolveConfig field; repeatable")
-    sub.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="virtual-clock budget accounting (default: on)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="reserved; verification runs sequentially")
 
 
 def main(argv=None) -> int:
@@ -230,8 +222,6 @@ def main(argv=None) -> int:
     enum.add_argument("--budget", type=float, default=1200.0,
                       help="total enumeration budget, seconds")
     enum.add_argument("--dump", help="write the classified pattern list here")
-    enum.add_argument("--threads", type=int, default=1,
-                      help="reserved; verification runs sequentially")
     enum.set_defaults(func=_cmd_enumerate)
 
     slv = subs.add_parser("solve", help="run the full solver")

@@ -20,9 +20,10 @@ nonincreasing radius order (ties keep the multiset's ascending-radius groups
 in blocks).  Disk witnesses are relative to the disk center, rectangle
 witnesses use the corner-origin frame [0,W] x [0,H].
 
-Budgets are deterministic: a time limit is converted to a node count via the
-fixed virtual rate NODES_PER_SECOND, so identical inputs explore identical
-trees regardless of wall-clock speed.
+Effort is counted in search nodes, never in wall time: verify_exact stops
+after `node_limit` nodes, so identical inputs explore identical trees
+regardless of machine speed.  Callers that think in virtual seconds convert
+at the fixed rate NODES_PER_SECOND.
 """
 
 from __future__ import annotations
@@ -34,10 +35,9 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNKNOWN = "Unknown"
 
-REASON_TIME = "TimeLimit"
 REASON_NODES = "NodeLimit"
 
-# virtual clock: one second of time budget buys this many search nodes
+# virtual clock: one second of budget buys this many search nodes
 NODES_PER_SECOND = 100_000
 
 # boxes thinner than this are abandoned; must stay well below any tolerance
@@ -59,17 +59,6 @@ class Rect:
 
 
 Container = Disk | Rect
-
-
-@dataclass(frozen=True)
-class VerifyLimits:
-    time_limit: float = 10.0
-    node_limit: int = 1_000_000
-    tolerance: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if self.time_limit <= 0 or self.node_limit <= 0 or self.tolerance <= 0:
-            raise ValueError("limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -431,19 +420,11 @@ def _push_apart(container, radii, pts, iters=_REPAIR_ITERS):
     return tuple((p[0], p[1]) for p in pts)
 
 
-def _node_budget(limits: VerifyLimits) -> tuple[int, str]:
-    if math.isinf(limits.time_limit):
-        return limits.node_limit, REASON_NODES
-    by_time = int(limits.time_limit * NODES_PER_SECOND)
-    if by_time < limits.node_limit:
-        return by_time, REASON_TIME
-    return limits.node_limit, REASON_NODES
-
-
 def verify_exact(
     container: Container,
     multiset,
-    limits: VerifyLimits = VerifyLimits(),
+    node_limit: int = 1_000_000,
+    tolerance: float = 1e-9,
     order_constraints: bool = True,
 ) -> Verdict:
     """Complete search: bisect center boxes, prune boxes that provably
@@ -452,40 +433,37 @@ def verify_exact(
 
     Feasible always carries a checked witness.  Infeasible means the box tree
     was exhausted, which certifies that no placement stays within the
-    tolerance band.  Unknown reports the limit that stopped the search.
+    tolerance band.  Unknown means `node_limit` nodes did not settle it.
+    Callers try analytic_prefilter and greedy_pack first; this search does
+    not repeat them.
     """
-    tol = limits.tolerance
+    if node_limit < 0 or tolerance <= 0:
+        raise ValueError("node_limit must be nonnegative and tolerance positive")
     radii = expand_multiset(multiset)
     k = len(radii)
     if k == 0:
         return Verdict(FEASIBLE, witness=(), reason="empty")
-    boxes = _root_boxes(container, radii, tol)
+    boxes = _root_boxes(container, radii, tolerance)
     if boxes is None:
         return Verdict(INFEASIBLE, reason="inradius bound")
-    g = greedy_pack(container, multiset, tol)
-    if g.status == FEASIBLE:
-        return Verdict(FEASIBLE, witness=g.witness, reason="greedy")
-    budget, limit_reason = _node_budget(limits)
-    if budget <= 0:
-        return Verdict(UNKNOWN, reason=limit_reason)
     ox, oy, reach = _origin_and_reach(container, radii)
     nodes = 0
     stack = [boxes]
     while stack:
-        if nodes >= budget:
-            return Verdict(UNKNOWN, reason=limit_reason, nodes=nodes)
+        if nodes >= node_limit:
+            return Verdict(UNKNOWN, reason=REASON_NODES, nodes=nodes)
         boxes = stack.pop()
         nodes += 1
         if order_constraints and not _order_tighten(boxes, radii):
             continue
-        if _prune(boxes, radii, container, ox, oy, reach, tol):
+        if _prune(boxes, radii, container, ox, oy, reach, tolerance):
             continue
         mid = _midpoint(boxes, container, radii)
-        if _violation(container, radii, mid) <= tol:
+        if _violation(container, radii, mid) <= tolerance:
             return Verdict(FEASIBLE, witness=tuple(mid), reason="midpoint", nodes=nodes)
         if nodes % _REPAIR_EVERY == 1:
             fixed = _push_apart(container, radii, mid)
-            if check_placements(container, radii, fixed, tol):
+            if check_placements(container, radii, fixed, tolerance):
                 return Verdict(FEASIBLE, witness=fixed, reason="repair", nodes=nodes)
         best_i, best_ax, best_w = -1, 0, BOX_FLOOR
         for i, (lox, hix, loy, hiy) in enumerate(boxes):

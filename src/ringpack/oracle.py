@@ -24,7 +24,6 @@ import itertools
 from .geometry import (
     FEASIBLE,
     INFEASIBLE,
-    VerifyLimits,
     analytic_prefilter,
     greedy_pack,
     verify_exact,
@@ -42,14 +41,15 @@ from .simplex import OPTIMAL, LinearProgram, solve_lp
 MAX_RING_COUNT = 12
 MAX_CANDIDATES = 10_000
 
-_ORACLE_LIMITS = VerifyLimits(time_limit=60.0, node_limit=2_000_000)
+# exact-search node limit per geometry question
+_ORACLE_NODE_LIMIT = 2_000_000
 
 
 class Intractable(RuntimeError):
     """Instance exceeds the oracle's hard size guard."""
 
 
-def _decide(container, multiset, limits: VerifyLimits) -> bool:
+def _decide(container, multiset) -> bool:
     # Full pipeline; an Unknown verdict would poison the ground truth,
     # so it escalates instead of being recorded.
     if not multiset:
@@ -59,7 +59,7 @@ def _decide(container, multiset, limits: VerifyLimits) -> bool:
         return early.status == FEASIBLE
     if greedy_pack(container, multiset).status == FEASIBLE:
         return True
-    verdict = verify_exact(container, multiset, limits)
+    verdict = verify_exact(container, multiset, _ORACLE_NODE_LIMIT)
     if verdict.status == INFEASIBLE:
         return False
     if verdict.status == FEASIBLE:
@@ -67,7 +67,7 @@ def _decide(container, multiset, limits: VerifyLimits) -> bool:
     raise Intractable("geometry undecided within oracle limits")
 
 
-def _feasible_contents(instance, container, caps, limits):
+def _feasible_contents(instance, container, caps):
     """Count vectors <= caps whose direct placement in container works."""
     span = 1
     for c in caps:
@@ -76,7 +76,7 @@ def _feasible_contents(instance, container, caps, limits):
         raise Intractable("content grid larger than the size guard")
     out = []
     for counts in itertools.product(*(range(c + 1) for c in caps)):
-        if _decide(container, counts_multiset(instance, counts), limits):
+        if _decide(container, counts_multiset(instance, counts)):
             out.append(counts)
     return out
 
@@ -100,7 +100,7 @@ def _compose(counts, child_vectors, base):
     return totals
 
 
-def _type_vectors(instance, limits):
+def _type_vectors(instance):
     # Types are sorted by outer radius, so hole contents only reference
     # earlier types and one ascending pass suffices.
     n = instance.type_count
@@ -109,16 +109,14 @@ def _type_vectors(instance, limits):
         unit = tuple(1 if s == t else 0 for s in range(n))
         acc: set[tuple[int, ...]] = set()
         for counts in _feasible_contents(
-            instance, hole_container(instance, t), circular_caps(instance, t), limits
+            instance, hole_container(instance, t), circular_caps(instance, t)
         ):
             acc |= _compose(counts, vectors, unit)
         vectors.append(acc)
     return vectors
 
 
-def enumerate_packable_rectangles(
-    instance: Instance, limits: VerifyLimits | None = None
-) -> frozenset[tuple[int, ...]]:
+def enumerate_packable_rectangles(instance: Instance) -> frozenset[tuple[int, ...]]:
     """Every count-over-type vector one rectangle can realize.
 
     A vector is included when some nesting forest over individual rings
@@ -135,11 +133,10 @@ def enumerate_packable_rectangles(
         # zero wall thickness lets a type nest inside itself, so chains of
         # unbounded depth exist and no finite family is exhaustive
         raise Intractable("zero-wall ring type permits unbounded nesting")
-    limits = limits if limits is not None else _ORACLE_LIMITS
-    vectors = _type_vectors(instance, limits)
+    vectors = _type_vectors(instance)
     out: set[tuple[int, ...]] = set()
     for counts in _feasible_contents(
-        instance, rect_container(instance), rect_caps(instance), limits
+        instance, rect_container(instance), rect_caps(instance)
     ):
         out |= _compose(counts, vectors, tuple([0] * instance.type_count))
         if len(out) > MAX_CANDIDATES:
@@ -147,17 +144,13 @@ def enumerate_packable_rectangles(
     return frozenset(out)
 
 
-def solve_dw_lp(
-    instance: Instance,
-    limits: VerifyLimits | None = None,
-    vectors=None,
-) -> float:
+def solve_dw_lp(instance: Instance, vectors=None) -> float:
     """LP value of the covering formulation over enumerated rectangles.
 
     min sum z_F  s.t.  sum_F F_t z_F >= D_t for every type t, z >= 0.
     """
     if vectors is None:
-        vectors = enumerate_packable_rectangles(instance, limits)
+        vectors = enumerate_packable_rectangles(instance)
     lp = LinearProgram()
     cols = [(vec, lp.add_column(1.0)) for vec in sorted(vectors) if any(vec)]
     for t in range(instance.type_count):
@@ -178,14 +171,10 @@ def _maximal(vectors):
     return keep
 
 
-def brute_force_opt(
-    instance: Instance,
-    limits: VerifyLimits | None = None,
-    vectors=None,
-) -> int:
+def brute_force_opt(instance: Instance, vectors=None) -> int:
     """Exact minimum rectangle count by exhaustive cover search."""
     if vectors is None:
-        vectors = enumerate_packable_rectangles(instance, limits)
+        vectors = enumerate_packable_rectangles(instance)
     frontier = _maximal(vectors)
     if not frontier:
         raise Intractable("no nonempty rectangle can be packed")

@@ -12,8 +12,8 @@ lexicographic order (total count ascending, then lexicographic).  Because
 packability is downward closed, a proven-infeasible pattern certifies every
 componentwise-larger candidate infeasible without another geometry call, and
 the ascending order means those certificates are available exactly when they
-help.  Verification effort is metered in deterministic virtual seconds
-(search nodes divided by NODES_PER_SECOND), so identical runs spend
+help.  Verification effort is metered by a Budget of exact-search nodes
+(virtual seconds times NODES_PER_SECOND), so identical runs spend
 identical budgets regardless of machine speed.
 
 Type indices are 0-based throughout, here and in every serialized form.
@@ -32,7 +32,6 @@ from ringpack.geometry import (
     Disk,
     Rect,
     Verdict,
-    VerifyLimits,
     analytic_prefilter,
     check_placements,
     expand_multiset,
@@ -40,8 +39,6 @@ from ringpack.geometry import (
     verify_exact,
 )
 from ringpack.model import Instance, InvariantViolation, MalformedInput
-
-DEFAULT_ENUM_BUDGET = 60.0
 
 
 @dataclass(frozen=True, order=True)
@@ -184,52 +181,55 @@ def witness_slots(instance: Instance, counts) -> list[int]:
     return slots
 
 
-class WorkMeter:
-    """Deterministic effort budget measured in virtual seconds.
+def _nodes(seconds: float) -> float:
+    """The most whole nodes whose virtual time stays within `seconds`;
+    infinity stays infinite.  Rounding the product to nearest and stepping
+    back once handles both float slips: 3e-4 s gives 29.999999999999996
+    (30 nodes fit) and 4.9999999999999996e-05 s gives 5.0 (only 4 fit)."""
+    if seconds == math.inf:
+        return seconds
+    nodes = round(seconds * NODES_PER_SECOND)
+    return nodes - 1 if nodes / NODES_PER_SECOND > seconds else nodes
 
-    Only exact-search nodes are charged (at NODES_PER_SECOND per virtual
-    second); prefilter and greedy calls count as free.  This keeps budget
+
+class Budget:
+    """One stage's allowance of exact-search nodes.
+
+    Built from the stage total and the cap on any single exact search, both
+    in virtual seconds and converted once at NODES_PER_SECOND.  Only search
+    nodes are charged (exact-search nodes, and pricing's own branch and
+    bound nodes); prefilter and greedy calls are free.  This keeps budget
     exhaustion a pure function of the input rather than of machine speed.
     """
 
-    def __init__(self, budget_seconds: float):
-        self.budget_nodes = (
-            float("inf")
-            if budget_seconds == float("inf")
-            else int(budget_seconds * NODES_PER_SECOND)
-        )
+    def __init__(self, stage_seconds: float, call_seconds: float):
+        self.stage_nodes = _nodes(stage_seconds)
+        self.call_limit = _nodes(call_seconds)
         self.spent_nodes = 0
 
     @property
     def exhausted(self) -> bool:
-        return self.spent_nodes >= self.budget_nodes
+        return self.spent_nodes >= self.stage_nodes
 
     def charge(self, nodes: int) -> None:
         self.spent_nodes += nodes
 
-    def call_limits(self, limits: VerifyLimits) -> VerifyLimits | None:
-        """Per-call limits respecting the remaining budget; None if spent."""
-        if self.exhausted:
-            return None
-        remaining = self.budget_nodes - self.spent_nodes
-        if remaining == float("inf"):
-            return limits
-        cap = min(limits.node_limit, int(remaining))
-        if cap <= 0:
-            return None
-        return VerifyLimits(limits.time_limit, cap, limits.tolerance)
+    def call_nodes(self) -> float:
+        """Node limit for the next exact search: the per-call cap or what
+        is left of the stage, whichever is smaller."""
+        return min(self.call_limit, self.stage_nodes - self.spent_nodes)
 
 
 def classify_counts(
     instance: Instance,
     container,
     counts,
-    limits: VerifyLimits,
-    meter: WorkMeter,
+    budget: Budget,
+    tolerance: float,
     cache: dict | None = None,
     cache_key=None,
 ) -> Verdict:
-    """Prefilter, then greedy, then metered exact search.
+    """Prefilter, then greedy, then exact search charged to `budget`.
 
     Cache holds only settled facts (Feasible with witness, Infeasible), so a
     later run with more budget can still upgrade an Unknown.
@@ -237,18 +237,18 @@ def classify_counts(
     if cache is not None and cache_key is not None and cache_key in cache:
         return cache[cache_key]
     ms = counts_multiset(instance, counts)
-    verdict = analytic_prefilter(container, ms, limits.tolerance)
+    verdict = analytic_prefilter(container, ms, tolerance)
     if verdict is None:
-        g = greedy_pack(container, ms, limits.tolerance)
+        g = greedy_pack(container, ms, tolerance)
         if g.status == FEASIBLE:
             verdict = g
     if verdict is None:
-        call = meter.call_limits(limits)
-        if call is None:
+        node_limit = budget.call_nodes()
+        if node_limit <= 0:
             verdict = Verdict(UNKNOWN, reason="budget exhausted")
         else:
-            verdict = verify_exact(container, ms, call)
-            meter.charge(verdict.nodes)
+            verdict = verify_exact(container, ms, node_limit, tolerance)
+            budget.charge(verdict.nodes)
 
     if (
         cache is not None
@@ -261,12 +261,16 @@ def classify_counts(
 
 def enumerate_patterns(
     instance: Instance,
-    limits: VerifyLimits = VerifyLimits(),
-    budget: float = DEFAULT_ENUM_BUDGET,
+    limit: float = 10.0,
+    budget: float = 1200.0,
     cache: dict | None = None,
     filter_result: bool = True,
+    tolerance: float = 1e-9,
 ) -> PatternSets:
     """Classify every circular-pattern candidate of the instance.
+
+    `limit` caps each exact search and `budget` the whole enumeration, both
+    in virtual seconds; the defaults are the paper profile's.
 
     Walks candidates per type in graded-lex order.  A candidate dominated by
     a proven-infeasible pattern is recorded infeasible without a geometry
@@ -281,7 +285,7 @@ def enumerate_patterns(
     the raw classification of every candidate, skipping the final reduction.
     """
     sets = PatternSets()
-    meter = WorkMeter(budget)
+    stage = Budget(budget, limit)
     for t in range(instance.type_count):
         container = hole_container(instance, t)
         proven_infeasible: list[CircularPattern] = []
@@ -294,7 +298,7 @@ def enumerate_patterns(
             if any(dominates(q, pat) for q in classified_feasible):
                 continue  # implied feasible, never maximal
             verdict = classify_counts(
-                instance, container, counts, limits, meter,
+                instance, container, counts, stage, tolerance,
                 cache=cache, cache_key=(t, tuple(counts)),
             )
             if verdict.status == FEASIBLE:

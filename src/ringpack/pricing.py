@@ -20,17 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import FEASIBLE, INFEASIBLE, VerifyLimits
+from .geometry import FEASIBLE, INFEASIBLE
 from .model import Instance
 from .patterns import (
+    Budget,
     RectangularPattern,
-    WorkMeter,
     classify_counts,
     rect_caps,
     rect_container,
 )
-
-DEFAULT_PRICING_BUDGET = 300.0
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -109,11 +107,15 @@ def _greedy_phase(instance, lam, caps, order, tolerance):
 def price_rectangular(
     instance: Instance,
     lam,
-    limits: VerifyLimits = VerifyLimits(),
-    budget: float = DEFAULT_PRICING_BUDGET,
+    limit: float = 10.0,
+    budget: float = 300.0,
     tolerance: float = 1e-9,
     cache: dict | None = None,
 ) -> PricingResult:
+    """Best rectangle pattern under prices `lam`.  `budget` (virtual
+    seconds) covers this call's branch and bound nodes plus its exact
+    searches; `limit` caps each exact search.  The defaults are the paper
+    profile's."""
     caps = rect_caps(instance)
     order = _density_order(instance, lam, caps)
     if not order:
@@ -132,7 +134,7 @@ def price_rectangular(
     def upper_bound(value, used_area, pos):
         return value + max(0.0, total_area - used_area) * tail_density[pos]
 
-    meter = WorkMeter(budget)
+    stage = Budget(budget, limit)
 
     best = _greedy_phase(instance, lam, caps, order, tolerance)
     if best is not None:
@@ -154,16 +156,16 @@ def price_rectangular(
     uncovered = 0.0  # best optimistic value lost to unverifiable nodes
     out_of_budget = False
     while stack:
-        if meter.exhausted:
+        if stage.exhausted:
             out_of_budget = True
             break
         pos, counts, value, used_area, fresh = stack.pop()
         if upper_bound(value, used_area, pos) <= best_value + 1e-12:
             continue
-        meter.charge(1)
+        stage.charge(1)
         if fresh:
             verdict = classify_counts(
-                instance, box, counts, limits, meter,
+                instance, box, counts, stage, tolerance,
                 cache=cache, cache_key=("rect", counts),
             )
             if verdict.status == INFEASIBLE:

@@ -5,8 +5,8 @@ circular patterns; the root stage alternates pricing (new rectangle
 columns) with on-demand verification of unknown patterns the LP actually
 leans on; the restricted IP rounds the surviving columns to an integer
 incumbent; reconstruction turns pattern counts plus stored witnesses into
-ring placements.  Every budget is a deterministic virtual clock expressed
-in seconds at a fixed node rate, so reruns are bit-identical.
+ring placements.  Every budget counts exact-search nodes, written as
+virtual seconds at a fixed node rate, so reruns are bit-identical.
 
 Dual bookkeeping is deliberately conservative: the rounded-up root LP value
 counts only while pricing has proven LP optimality and no unverified
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import master as master_mod
-from .geometry import FEASIBLE, INFEASIBLE, NODES_PER_SECOND, VerifyLimits
+from .geometry import FEASIBLE, INFEASIBLE, NODES_PER_SECOND
 from .master import MasterModel, build_master
 from .model import (
     Instance,
@@ -32,10 +32,10 @@ from .model import (
     volume_lower_bound,
 )
 from .patterns import (
+    Budget,
     CircularPattern,
     PatternSets,
     RectangularPattern,
-    WorkMeter,
     classify_counts,
     enumerate_patterns,
     hole_container,
@@ -59,15 +59,18 @@ class InconsistentMultiset(ValueError):
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Effort settings in virtual seconds (see Budget): a `_limit` caps one
+    exact search, a `_budget` one stage.  pricing_limit is the budget of
+    each pricing call, whose exact searches are capped by
+    enumeration_limit."""
+
     enumeration_limit: float = 10.0
     enumeration_budget: float = 1200.0
-    verification_limit: float = 120.0
+    verification_limit: float = 10.0
     verification_budget: float = 2400.0
     pricing_limit: float = 300.0
-    total_limit: float = float("inf")
     ip_node_limit: int = 200_000
     tolerance: float = 1e-9
-    deterministic: bool = True
 
 
 DESK_CONFIG = SolveConfig(
@@ -132,13 +135,7 @@ def price_and_verify_root(
     circulars = sorted(set(sets.feasible) | set(sets.unknown))
     model = build_master(instance, circulars)
 
-    verify_meter = WorkMeter(config.verification_budget)
-    verify_limits = VerifyLimits(
-        time_limit=config.verification_limit, tolerance=config.tolerance
-    )
-    pricing_limits = VerifyLimits(
-        time_limit=config.enumeration_limit, tolerance=config.tolerance
-    )
+    verify_budget = Budget(config.verification_budget, config.verification_limit)
 
     unknown: dict[CircularPattern, int] = {p: 0 for p in sorted(sets.unknown)}
     feasible = dict(sets.feasible)
@@ -165,7 +162,7 @@ def price_and_verify_root(
             outcome = price_rectangular(
                 instance,
                 lam,
-                limits=pricing_limits,
+                limit=config.enumeration_limit,
                 budget=config.pricing_limit,
                 tolerance=config.tolerance,
                 cache=cache,
@@ -216,8 +213,8 @@ def price_and_verify_root(
             instance,
             hole_container(instance, pattern.outer_type),
             pattern.counts,
-            verify_limits,
-            verify_meter,
+            verify_budget,
+            config.tolerance,
             cache=cache,
             cache_key=(pattern.outer_type, pattern.counts),
         )
@@ -248,7 +245,7 @@ def price_and_verify_root(
         patterns_verified=patterns_verified,
         fixed_unverified=mass_fixed,
         pricing_calls=pricing_calls,
-        verification_spent=verify_meter.spent_nodes / NODES_PER_SECOND,
+        verification_spent=verify_budget.spent_nodes / NODES_PER_SECOND,
     )
 
 
@@ -466,11 +463,12 @@ def fallback_solution(instance: Instance) -> PlacedSolution:
 
 def solve(instance: Instance, config: SolveConfig = SolveConfig()) -> SolveReport:
     cache: dict = {}
-    enum_limits = VerifyLimits(
-        time_limit=config.enumeration_limit, tolerance=config.tolerance
-    )
     sets = enumerate_patterns(
-        instance, limits=enum_limits, budget=config.enumeration_budget, cache=cache
+        instance,
+        limit=config.enumeration_limit,
+        budget=config.enumeration_budget,
+        cache=cache,
+        tolerance=config.tolerance,
     )
     root = price_and_verify_root(instance, sets, config, cache)
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from ringpack.cli import main
-from ringpack.geometry import Disk, VerifyLimits, verify_exact
+from ringpack.geometry import Disk, verify_exact
 from ringpack.master import build_master, coefficient_table
 from ringpack.model import generate_instance, validate_solution, volume_lower_bound
 from ringpack.oracle import brute_force_opt, solve_dw_lp
@@ -136,13 +136,12 @@ def test_criterion_6_disk_thresholds():
     started = time.perf_counter()
     rho = 1.0
     thresholds = {1: rho, 2: rho / 2.0, 3: rho * (2.0 * math.sqrt(3.0) - 3.0)}
-    limits = VerifyLimits(time_limit=30.0)
     for k, threshold in thresholds.items():
         for i in range(50):
             offset = 10.0 ** (-6.0 + 4.0 * i / 49.0)
-            feasible = verify_exact(Disk(rho), [(threshold - offset, k)], limits)
+            feasible = verify_exact(Disk(rho), [(threshold - offset, k)])
             assert feasible.status == "Feasible", (k, offset)
-            infeasible = verify_exact(Disk(rho), [(threshold + offset, k)], limits)
+            infeasible = verify_exact(Disk(rho), [(threshold + offset, k)])
             assert infeasible.status == "Infeasible", (k, offset)
     assert time.perf_counter() - started < 60.0
 
@@ -189,6 +188,6 @@ def test_criterion_9_deterministic_reports(tmp_path):
     instance.write_text(TINY3_TEXT)
     first = tmp_path / "first.report"
     second = tmp_path / "second.report"
-    assert main(["solve", str(instance), "--deterministic", "-o", str(first)]) == 0
-    assert main(["solve", str(instance), "--deterministic", "-o", str(second)]) == 0
+    assert main(["solve", str(instance), "-o", str(first)]) == 0
+    assert main(["solve", str(instance), "-o", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()

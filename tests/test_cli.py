@@ -75,6 +75,25 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", str(tiny3_file), "--set", "tolerance"])
 
+    @pytest.mark.parametrize("pair", ["total_limit=1", "deterministic=0"])
+    def test_removed_config_keys_rejected(self, tiny3_file, tmp_path, pair):
+        with pytest.raises(SystemExit, match="unknown config key"):
+            main(["solve", str(tiny3_file), "-o", str(tmp_path / "x.report"),
+                  "--set", pair])
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--no-deterministic"]),
+        ("solve", ["--threads", "2"]),
+        ("enumerate", ["--threads", "2"]),
+    ], ids=["solve-no-deterministic", "solve-threads", "enumerate-threads"])
+    def test_removed_flags_rejected(self, tiny3_file, tmp_path, capsys,
+                                    command, flags):
+        out = ["-o", str(tmp_path / "x.report")] if command == "solve" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tiny3_file), *out, *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_report_is_accepted_as_solution(self, tiny3_file, tmp_path, capsys):

@@ -13,7 +13,6 @@ from ringpack.geometry import (
     Disk,
     Rect,
     Verdict,
-    VerifyLimits,
     analytic_prefilter,
     check_placements,
     expand_multiset,
@@ -214,32 +213,28 @@ class TestVerifyExactBehavior:
         assert a == b
 
     def test_node_limit_yields_unknown(self):
-        v = verify_exact(
-            Disk(2.0), [(0.84, 4)], VerifyLimits(node_limit=3)
-        )
+        v = verify_exact(Disk(2.0), [(0.84, 4)], node_limit=3)
         assert v.status == UNKNOWN and v.reason == "NodeLimit"
 
-    def test_time_limit_yields_unknown(self):
-        v = verify_exact(
-            Disk(2.0), [(0.84, 4)], VerifyLimits(time_limit=1e-5, node_limit=10**6)
-        )
-        assert v.status == UNKNOWN and v.reason == "TimeLimit"
+    def test_zero_node_limit_yields_unknown(self):
+        v = verify_exact(Disk(2.0), [(0.84, 4)], node_limit=0)
+        assert v.status == UNKNOWN and v.reason == "NodeLimit" and v.nodes == 0
 
     def test_budget_reported_in_nodes(self):
-        v = verify_exact(Disk(2.0), [(0.84, 4)], VerifyLimits(node_limit=50))
+        v = verify_exact(Disk(2.0), [(0.84, 4)], node_limit=50)
         assert v.status == UNKNOWN and v.nodes == 50
 
     def test_circle_larger_than_container(self):
         assert verify_exact(Disk(1.0), [(1.2, 1)]).status == INFEASIBLE
         assert verify_exact(Rect(4, 2), [(1.5, 1)]).status == INFEASIBLE
 
-    def test_limits_must_be_positive(self):
+    def test_arguments_validated(self):
         with pytest.raises(ValueError):
-            VerifyLimits(time_limit=0)
+            verify_exact(Disk(2.0), [(0.84, 4)], node_limit=-1)
         with pytest.raises(ValueError):
-            VerifyLimits(node_limit=0)
+            verify_exact(Disk(2.0), [(0.84, 4)], tolerance=0.0)
         with pytest.raises(ValueError):
-            VerifyLimits(tolerance=-1e-9)
+            verify_exact(Disk(2.0), [(0.84, 4)], tolerance=-1e-9)
 
     @given(
         st.lists(
@@ -257,7 +252,7 @@ class TestVerifyExactBehavior:
             ms[r] = ms.get(r, 0) + c
         multiset = sorted(ms.items())
         container = Disk(1.6)
-        v = verify_exact(container, multiset, VerifyLimits(node_limit=20000))
+        v = verify_exact(container, multiset, node_limit=20000)
         if v.status == FEASIBLE:
             assert check_placements(container, expand_multiset(multiset), v.witness)
         elif v.status == INFEASIBLE:

@@ -1,11 +1,19 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from ringpack.geometry import FEASIBLE, VerifyLimits, check_placements, expand_multiset
+from ringpack.geometry import (
+    FEASIBLE,
+    NODES_PER_SECOND,
+    check_placements,
+    expand_multiset,
+)
 from ringpack.model import InvariantViolation, MalformedInput
 from ringpack.patterns import (
+    Budget,
     CircularPattern,
     PatternSets,
     RectangularPattern,
@@ -189,6 +197,27 @@ class TestBudgets:
         assert warm.unknown == {}
         assert set(warm.feasible) == set(first.feasible)
         assert warm.infeasible == first.infeasible
+
+    # the seconds-to-nodes product rounds up to 5.0 one ulp below 5 nodes
+    # and down to 29.999999999999996 at exactly 30
+    @given(st.floats(min_value=0.0, max_value=1e-3))
+    @example(4.9999999999999996e-05)
+    @example(3e-4)
+    @settings(max_examples=200, deadline=None)
+    def test_budget_buys_the_most_nodes_within_its_seconds(self, seconds):
+        for budget in (Budget(seconds, math.inf), Budget(math.inf, seconds)):
+            nodes = budget.call_nodes()
+            assert nodes / NODES_PER_SECOND <= seconds
+            assert (nodes + 1) / NODES_PER_SECOND > seconds
+
+    def test_call_nodes_is_the_smaller_of_cap_and_rest(self):
+        budget = Budget(1e-3, 3e-4)
+        assert budget.call_nodes() == 30
+        budget.charge(80)
+        assert budget.call_nodes() == 20 and not budget.exhausted
+        budget.charge(20)
+        assert budget.call_nodes() == 0 and budget.exhausted
+        assert Budget(math.inf, math.inf).call_nodes() == math.inf
 
 
 class TestDumpLoad:

@@ -5,7 +5,6 @@ import pytest
 
 from ringpack.geometry import (
     FEASIBLE,
-    VerifyLimits,
     check_placements,
     expand_multiset,
     verify_exact,
@@ -63,13 +62,12 @@ def _direct_rect_vectors(instance):
     """Exhaustive feasible direct-placement count vectors within the caps."""
     caps = rect_caps(instance)
     container = rect_container(instance)
-    limits = VerifyLimits(time_limit=30.0)
     out = []
     for counts in itertools.product(*(range(c + 1) for c in caps)):
         if not any(counts):
             out.append(counts)
             continue
-        if verify_exact(container, counts_multiset(instance, counts), limits).status == FEASIBLE:
+        if verify_exact(container, counts_multiset(instance, counts)).status == FEASIBLE:
             out.append(counts)
     return out
 

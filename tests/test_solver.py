@@ -3,13 +3,24 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringpack.model import validate_solution, write_solution, generate_instance
+from ringpack.geometry import UNKNOWN, verify_exact
+from ringpack.model import (
+    generate_instance,
+    parse_instance,
+    validate_solution,
+    write_solution,
+)
 from ringpack.patterns import (
     CircularPattern,
     PatternSets,
     RectangularPattern,
+    counts_multiset,
     enumerate_patterns,
+    hole_container,
+    rect_container,
 )
 from ringpack.oracle import brute_force_opt
 from ringpack.solver import (
@@ -22,7 +33,7 @@ from ringpack.solver import (
     solve_restricted_ip,
     volume_lower_bound,
 )
-from conftest import make_instance
+from conftest import TINY3_TEXT, make_instance
 
 
 # two ring types sized so that three smalls overfill the big hole while a
@@ -31,6 +42,12 @@ from conftest import make_instance
 PLANT = make_instance(4.5, 4.5, [(0.2, 0.95, 3), (2.0, 2.2, 1)], name="PLANT")
 BAD = CircularPattern(1, (3, 0))
 GOOD = CircularPattern(1, (2, 0))
+
+
+TINY3 = parse_instance(TINY3_TEXT, name="TINY3")
+
+# stage budgets of 0 to 100 exact-search nodes, in virtual seconds
+SECONDS = st.floats(min_value=0.0, max_value=1e-3)
 
 
 def plant_unknown(pattern):
@@ -148,6 +165,43 @@ class TestVerificationBranches:
         assert root.best_dual == 1
         assert root.root_value == pytest.approx(4 / 3)
         assert volume_lower_bound(PLANT) <= root.best_dual <= brute_force_opt(PLANT)
+
+
+class TestBudgetEnforcement:
+    @given(
+        inst=st.sampled_from([TINY3, PLANT]),
+        enumeration_limit=SECONDS,
+        enumeration_budget=SECONDS,
+        verification_limit=SECONDS,
+        verification_budget=SECONDS,
+        pricing_limit=SECONDS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stage_budgets_hold(self, inst, **seconds):
+        config = SolveConfig(**seconds)
+        sets = enumerate_patterns(
+            inst, limit=config.enumeration_limit, budget=config.enumeration_budget
+        )
+        root = price_and_verify_root(inst, sets, config)
+        assert root.verification_spent <= config.verification_budget
+        report = solve(inst, config)
+        assert volume_lower_bound(inst) <= report.dual_bound <= report.primal_bound
+        assert validate_solution(inst, report.incumbent).feasible
+
+    @given(node_limit=st.integers(min_value=0, max_value=100))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_search_stops_at_node_limit(self, node_limit):
+        # proven infeasible at the root; found by repair at node 17 (twice)
+        cases = [
+            (hole_container(PLANT, 1), counts_multiset(PLANT, BAD.counts)),
+            (rect_container(PLANT), counts_multiset(PLANT, (3, 0))),
+            (rect_container(TINY3), counts_multiset(TINY3, (2, 1, 0))),
+        ]
+        for container, multiset in cases:
+            verdict = verify_exact(container, multiset, node_limit=node_limit)
+            assert verdict.nodes <= node_limit
+            if verdict.status == UNKNOWN:
+                assert verdict.nodes == node_limit
 
 
 class TestRestrictedIP:
