@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .model import (
     Instance,
+    InvariantViolation,
+    MalformedInput,
     generate_instance,
     parse_instance,
     parse_solution,
@@ -26,7 +28,7 @@ from .model import (
     write_solution,
 )
 from .oracle import brute_force_opt, enumerate_packable_rectangles, solve_dw_lp
-from .patterns import dump_patterns, enumerate_patterns
+from .patterns import check_effort, dump_patterns, enumerate_patterns
 from .render import render_svg
 from .solver import DESK_CONFIG, SolveConfig, SolveReport, solve
 
@@ -42,26 +44,36 @@ PUBLIC_COMMANDS = "{generate,enumerate,solve,validate,render}"
 
 def _load_instance(path: str) -> Instance:
     text = Path(path).read_text()
-    return parse_instance(text, name=Path(path).stem)
+    try:
+        return parse_instance(text, name=Path(path).stem)
+    except (MalformedInput, InvariantViolation) as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def _config_from(args) -> SolveConfig:
-    config = PROFILES[args.profile]
+    types = {f.name: f.type for f in dataclasses.fields(SolveConfig)}
     overrides: dict = {}
     for pair in args.set or []:
         if "=" not in pair:
             raise SystemExit(f"bad override {pair!r}: expected key=value")
         key, value = pair.split("=", 1)
-        field = {f.name: f for f in dataclasses.fields(SolveConfig)}.get(key)
-        if field is None:
-            names = ", ".join(f.name for f in dataclasses.fields(SolveConfig))
-            raise SystemExit(f"unknown config key {key!r} (known: {names})")
-        caster = int if field.type in ("int", int) else float
+        if key not in types:
+            raise SystemExit(f"unknown config key {key!r} (known: {', '.join(types)})")
         try:
-            overrides[key] = caster(value)
+            overrides[key] = (int if types[key] == "int" else float)(value)
         except ValueError:
             raise SystemExit(f"bad value for {key}: {value!r}") from None
-    return dataclasses.replace(config, **overrides)
+    try:
+        return dataclasses.replace(PROFILES[args.profile], **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"bad config: {exc}") from None
+
+
+def _seconds(text: str) -> float:
+    try:
+        return check_effort("seconds", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def format_report(report: SolveReport) -> str:
@@ -217,9 +229,9 @@ def main(argv=None) -> int:
 
     enum = subs.add_parser("enumerate", help="classify circular patterns")
     enum.add_argument("instance")
-    enum.add_argument("--limit", type=float, default=10.0,
+    enum.add_argument("--limit", type=_seconds, default=10.0,
                       help="per-candidate verification limit, seconds")
-    enum.add_argument("--budget", type=float, default=1200.0,
+    enum.add_argument("--budget", type=_seconds, default=1200.0,
                       help="total enumeration budget, seconds")
     enum.add_argument("--dump", help="write the classified pattern list here")
     enum.set_defaults(func=_cmd_enumerate)

@@ -79,8 +79,8 @@ class Instance:
     source_order: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise InvariantViolation("rectangle sides must be positive")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise InvariantViolation("rectangle sides must be positive and finite")
         if not self.types:
             raise InvariantViolation("instance needs at least one ring type")
         radii = [t.outer_radius for t in self.types]

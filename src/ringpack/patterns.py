@@ -7,12 +7,12 @@ rectangle.  Feasibility of a pattern is a pure circle-packing question about
 its container, answered by the geometry engine; nesting deeper than one
 level is composed from several patterns, never encoded in one.
 
-Enumeration walks each type's candidate count vectors in graded
-lexicographic order (total count ascending, then lexicographic).  Because
-packability is downward closed, a proven-infeasible pattern certifies every
-componentwise-larger candidate infeasible without another geometry call, and
-the ascending order means those certificates are available exactly when they
-help.  Verification effort is metered by a Budget of exact-search nodes
+Enumeration walks each type's count vectors in graded lexicographic order
+(total count ascending, then lexicographic).  Because packability is
+downward closed, a proven-infeasible pattern certifies every
+componentwise-larger vector infeasible, so the walk never visits those: it
+climbs level by level through the down-set the proofs leave open.
+Verification effort is metered by a Budget of exact-search nodes
 (virtual seconds times NODES_PER_SECOND), so identical runs spend
 identical budgets regardless of machine speed.
 
@@ -71,14 +71,15 @@ Witness = tuple[tuple[float, float], ...]
 class PatternSets:
     """Tri-partition of circular-pattern candidates by verification outcome.
 
-    feasible maps each pattern to a packing witness for its hole; unknown
-    maps each pattern to its tested flag (0 = not yet re-examined by the
-    verification loop of the solve driver).
+    feasible maps each pattern to a packing witness for its hole.
+    infeasible holds the patterns proven unpackable; each certifies every
+    componentwise-larger pattern unpackable too, and those are not stored.
+    unknown holds the patterns no search settled.
     """
 
     feasible: dict[CircularPattern, Witness] = field(default_factory=dict)
     infeasible: set[CircularPattern] = field(default_factory=set)
-    unknown: dict[CircularPattern, int] = field(default_factory=dict)
+    unknown: set[CircularPattern] = field(default_factory=set)
 
     def status_of(self, pattern: CircularPattern) -> str | None:
         if pattern in self.feasible:
@@ -126,30 +127,27 @@ def rect_caps(instance: Instance) -> tuple[int, ...]:
     return tuple(caps)
 
 
-def _fixed_sum(caps, idx, remaining, suffix_room, prefix, out):
-    if idx == len(caps):
-        if remaining == 0:
-            out.append(tuple(prefix))
-        return
-    room_after = suffix_room[idx + 1]
-    lo = max(0, remaining - room_after)
-    hi = min(caps[idx], remaining)
-    for c in range(lo, hi + 1):
-        prefix.append(c)
-        _fixed_sum(caps, idx + 1, remaining - c, suffix_room, prefix, out)
-        prefix.pop()
-
-
-def candidate_space(instance: Instance, t: int):
-    """Yield candidate count vectors for type t's hole in graded-lex order."""
+def candidate_space(instance: Instance, t: int, infeasible=frozenset()):
+    """Yield type t's count vectors within caps, in graded-lex order, that
+    lie strictly above no vector of `infeasible`, which the caller may fill
+    while iterating.  Each vector is built once, from its parent one lower in
+    its last nonzero count, and needs every other parent live in its level;
+    that parent is monotone in lex order, so each level comes out sorted."""
     caps = circular_caps(instance, t)
-    suffix_room = [0] * (len(caps) + 1)
-    for i in range(len(caps) - 1, -1, -1):
-        suffix_room[i] = suffix_room[i + 1] + caps[i]
-    for total in range(sum(caps) + 1):
-        batch: list[tuple[int, ...]] = []
-        _fixed_sum(caps, 0, total, suffix_room, [], batch)
-        yield from batch
+    level = [(0,) * len(caps)]
+    while level:
+        yield from level
+        live = [v for v in level if v not in infeasible]
+        alive, level = set(live), []
+        for v in live:
+            for i in reversed(range(len(v))):
+                if v[i] < caps[i]:
+                    w = v[:i] + (v[i] + 1,) + v[i + 1 :]
+                    if all(w[:j] + (w[j] - 1,) + w[j + 1 :] in alive
+                           for j in range(i) if w[j]):
+                        level.append(w)
+                if v[i]:
+                    break  # a lower index is not this vector's last count
 
 
 def hole_container(instance: Instance, t: int) -> Disk:
@@ -179,6 +177,13 @@ def witness_slots(instance: Instance, counts) -> list[int]:
     for _, s, c in items:
         slots.extend([s] * c)
     return slots
+
+
+def check_effort(name: str, value: float) -> float:
+    """Return `value` if it is a valid effort setting (>= 0, or +inf)."""
+    if not value >= 0:  # also rejects NaN and -inf
+        raise ValueError(f"{name} must be >= 0 or inf, got {value}")
+    return value
 
 
 def _nodes(seconds: float) -> float:
@@ -234,7 +239,7 @@ def classify_counts(
     Cache holds only settled facts (Feasible with witness, Infeasible), so a
     later run with more budget can still upgrade an Unknown.
     """
-    if cache is not None and cache_key is not None and cache_key in cache:
+    if cache is not None and cache_key in cache:
         return cache[cache_key]
     ms = counts_multiset(instance, counts)
     verdict = analytic_prefilter(container, ms, tolerance)
@@ -250,11 +255,7 @@ def classify_counts(
             verdict = verify_exact(container, ms, node_limit, tolerance)
             budget.charge(verdict.nodes)
 
-    if (
-        cache is not None
-        and cache_key is not None
-        and verdict.status in (FEASIBLE, INFEASIBLE)
-    ):
+    if cache is not None and verdict.status in (FEASIBLE, INFEASIBLE):
         cache[cache_key] = verdict
     return verdict
 
@@ -272,50 +273,39 @@ def enumerate_patterns(
     `limit` caps each exact search and `budget` the whole enumeration, both
     in virtual seconds; the defaults are the paper profile's.
 
-    Walks candidates per type in graded-lex order.  A candidate dominated by
-    a proven-infeasible pattern is recorded infeasible without a geometry
-    call; a candidate dominated by an already-classified feasible pattern
-    would be skipped outright, though the ascending order makes that case
-    unreachable.  Everything else runs prefilter, greedy, then exact search
-    while budget remains.  On return the feasible set is reduced to its
-    maximal elements and unknown patterns dominated by a verified-feasible
-    pattern are dropped (they could never be maximal); unknown patterns are
-    never used to discard each other, so every truly-maximal feasible
-    pattern survives in feasible or unknown.  filter_result=False returns
-    the raw classification of every candidate, skipping the final reduction.
+    Each type's candidate_space is fed the proven-infeasible vectors, so a
+    vector above a proof is neither visited nor stored.  Each candidate runs
+    prefilter, greedy, then exact search while budget remains.  On return
+    the feasible set is reduced to its maximal elements and unknown patterns
+    dominated by a verified-feasible pattern are dropped (they could never
+    be maximal); unknown patterns are never used to discard each other, so
+    every truly-maximal feasible pattern survives in feasible or unknown.
+    filter_result=False skips that reduction and returns every candidate the
+    walk visited.
     """
     sets = PatternSets()
     stage = Budget(budget, limit)
     for t in range(instance.type_count):
         container = hole_container(instance, t)
-        proven_infeasible: list[CircularPattern] = []
-        classified_feasible: list[CircularPattern] = []
-        for counts in candidate_space(instance, t):
+        proven: set[tuple[int, ...]] = set()
+        for counts in candidate_space(instance, t, proven):
             pat = CircularPattern(t, counts)
-            if any(dominates(pat, q) for q in proven_infeasible):
-                sets.infeasible.add(pat)
-                continue
-            if any(dominates(q, pat) for q in classified_feasible):
-                continue  # implied feasible, never maximal
             verdict = classify_counts(
                 instance, container, counts, stage, tolerance,
-                cache=cache, cache_key=(t, tuple(counts)),
+                cache=cache, cache_key=(t, counts),
             )
             if verdict.status == FEASIBLE:
                 sets.feasible[pat] = verdict.witness
-                classified_feasible.append(pat)
             elif verdict.status == INFEASIBLE:
                 sets.infeasible.add(pat)
-                proven_infeasible.append(pat)
+                proven.add(counts)
             else:
-                sets.unknown[pat] = 0
+                sets.unknown.add(pat)
     if filter_result:
         keep = filter_dominated(sets.feasible)
         sets.feasible = {p: w for p, w in sets.feasible.items() if p in keep}
         sets.unknown = {
-            p: flag
-            for p, flag in sets.unknown.items()
-            if not any(dominates(q, p) for q in keep)
+            p for p in sets.unknown if not any(dominates(q, p) for q in keep)
         }
     return sets
 
@@ -370,7 +360,7 @@ def load_patterns(text: str, instance: Instance) -> PatternSets:
             sets.infeasible.add(pat)
             continue
         if status == "Unknown":
-            sets.unknown[pat] = 0
+            sets.unknown.add(pat)
             continue
         if status != "Feasible":
             raise MalformedInput(f"line {lineno}: unknown status {status!r}")
@@ -384,5 +374,5 @@ def load_patterns(text: str, instance: Instance) -> PatternSets:
         ):
             sets.feasible[pat] = witness
         else:
-            sets.unknown[pat] = 0
+            sets.unknown.add(pat)
     return sets

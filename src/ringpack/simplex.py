@@ -36,10 +36,6 @@ class UnknownColumn(KeyError):
     pass
 
 
-class UnknownOperation(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class LpResult:
     status: str
@@ -103,9 +99,6 @@ class LinearProgram:
         self.fixed.add(col_id)
         if self._basis is not None and ("c", col_id) in self._basis:
             self._basis = None
-
-    def unfix_column(self, col_id: int) -> None:
-        raise UnknownOperation("columns fixed to zero cannot be unfixed")
 
     def copy(self) -> "LinearProgram":
         clone = LinearProgram()

@@ -19,7 +19,7 @@ rectangle) packs any instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import master as master_mod
 from .geometry import FEASIBLE, INFEASIBLE, NODES_PER_SECOND
@@ -36,6 +36,7 @@ from .patterns import (
     CircularPattern,
     PatternSets,
     RectangularPattern,
+    check_effort,
     classify_counts,
     enumerate_patterns,
     hole_container,
@@ -71,6 +72,12 @@ class SolveConfig:
     pricing_limit: float = 300.0
     ip_node_limit: int = 200_000
     tolerance: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
+        for f in fields(self):
+            check_effort(f.name, getattr(self, f.name))
 
 
 DESK_CONFIG = SolveConfig(
@@ -132,12 +139,13 @@ def price_and_verify_root(
     LP-based dual bounds from that point on.
     """
     cache = {} if cache is None else cache
-    circulars = sorted(set(sets.feasible) | set(sets.unknown))
+    circulars = sorted(set(sets.feasible) | sets.unknown)
     model = build_master(instance, circulars)
 
     verify_budget = Budget(config.verification_budget, config.verification_limit)
 
-    unknown: dict[CircularPattern, int] = {p: 0 for p in sorted(sets.unknown)}
+    unknown = set(sets.unknown)
+    tested: set[CircularPattern] = set()  # verified without a verdict
     feasible = dict(sets.feasible)
     infeasible = set(sets.infeasible)
     rect_witnesses: dict[RectangularPattern, tuple] = {}
@@ -191,10 +199,7 @@ def price_and_verify_root(
 
         # (b) verify the unknown pattern the LP relies on most
         values = master_mod.pattern_values(model)
-        pending = sorted(
-            ((-values[p], p) for p in unknown
-             if unknown[p] == 0 and values[p] > config.tolerance),
-        )
+        pending = [p for p in unknown - tested if values[p] > config.tolerance]
         if not pending:
             if any(values[p] > config.tolerance for p in unknown):
                 # (c) undecidable patterns still carry value: force them out
@@ -207,7 +212,7 @@ def price_and_verify_root(
                 value = master_mod.lp_relax_value(model, config.tolerance)
                 continue
             break
-        pattern = pending[0][1]
+        pattern = min(pending, key=lambda p: (-values[p], p))
         patterns_verified += 1
         verdict = classify_counts(
             instance,
@@ -220,22 +225,19 @@ def price_and_verify_root(
         )
         if verdict.status == FEASIBLE:
             feasible[pattern] = verdict.witness
-            del unknown[pattern]
+            unknown.remove(pattern)
         elif verdict.status == INFEASIBLE:
             infeasible.add(pattern)
-            del unknown[pattern]
+            unknown.remove(pattern)
             master_mod.fix_circular_zero(model, pattern)
             lp_converged = False  # the LP changed: pricing gets another say
             value = master_mod.lp_relax_value(model, config.tolerance)
         else:
-            unknown[pattern] = 1
+            tested.add(pattern)
 
-    updated = PatternSets(
-        feasible=feasible, infeasible=infeasible, unknown=dict(unknown)
-    )
     return RootResult(
         master=model,
-        sets=updated,
+        sets=PatternSets(feasible=feasible, infeasible=infeasible, unknown=unknown),
         rect_witnesses=rect_witnesses,
         root_value=value,
         dual_valid=dual_valid,

@@ -75,6 +75,29 @@ class TestSolve:
         with pytest.raises(SystemExit):
             main(["solve", str(tiny3_file), "--set", "tolerance"])
 
+    @pytest.mark.parametrize("pair", [
+        "enumeration_budget=nan",
+        "enumeration_budget=-inf",
+        "verification_limit=nan",
+        "verification_budget=-1",
+        "pricing_limit=-inf",
+        "ip_node_limit=-5",
+        "tolerance=0",
+        "tolerance=nan",
+        "tolerance=inf",
+    ])
+    def test_out_of_range_config_value_rejected(self, tiny3_file, tmp_path, pair):
+        with pytest.raises(SystemExit, match="bad config: " + pair.split("=")[0]):
+            main(["solve", str(tiny3_file), "-o", str(tmp_path / "x.report"),
+                  "--set", pair])
+
+    @pytest.mark.parametrize("header", ["nan 4", "4 inf"])
+    def test_non_finite_sides_rejected(self, tmp_path, header):
+        inst = tmp_path / "bad.rpa"
+        inst.write_text(f"{header}\n0.5 0.7 1\n")
+        with pytest.raises(SystemExit, match="positive and finite"):
+            main(["solve", str(inst), "-o", str(tmp_path / "x.report")])
+
     @pytest.mark.parametrize("pair", ["total_limit=1", "deterministic=0"])
     def test_removed_config_keys_rejected(self, tiny3_file, tmp_path, pair):
         with pytest.raises(SystemExit, match="unknown config key"):
@@ -178,6 +201,15 @@ class TestEnumerate:
         assert rc == 0
         unknown = int(re.search(r"unknown=(\d+)", capsys.readouterr().out).group(1))
         assert unknown > 0
+
+    @pytest.mark.parametrize("flag", [
+        "--limit=nan", "--budget=nan", "--limit=-1", "--budget=-inf",
+    ])
+    def test_out_of_range_seconds_rejected(self, tiny3_file, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", str(tiny3_file), flag])
+        assert exc.value.code == 2
+        assert "seconds must be >= 0 or inf" in capsys.readouterr().err
 
 
 class TestOracle:

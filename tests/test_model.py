@@ -41,6 +41,13 @@ class TestInstanceInvariants:
     def test_needs_positive_sides(self):
         with pytest.raises(InvariantViolation):
             Instance(0.0, 4.0, (RingType(0.5, 0.7, 1),))
+        for side in ("nan", "inf", "-inf"):
+            with pytest.raises(InvariantViolation):
+                Instance(float(side), 4.0, (RingType(0.5, 0.7, 1),))
+            with pytest.raises(InvariantViolation):
+                Instance(4.0, float(side), (RingType(0.5, 0.7, 1),))
+            with pytest.raises(InvariantViolation):
+                parse_instance(f"{side} 4\n0.5 0.7 1\n")
 
     def test_needs_types(self):
         with pytest.raises(InvariantViolation):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -46,10 +47,11 @@ TINY3_MAXIMAL = {
     CircularPattern(2, (2, 0, 0)),
     CircularPattern(2, (0, 1, 0)),
 }
+# the proven certificates; (2, 1, 0) in type 2's hole lies above (1, 1, 0)
+# and is never a candidate
 TINY3_INFEASIBLE = {
     CircularPattern(1, (2, 0, 0)),
     CircularPattern(2, (1, 1, 0)),
-    CircularPattern(2, (2, 1, 0)),
 }
 
 
@@ -143,12 +145,12 @@ class TestEnumerateTiny3:
         sets = enumerate_patterns(tiny3, filter_result=False)
         assert set(sets.feasible) == TINY3_FEASIBLE
         assert sets.infeasible == TINY3_INFEASIBLE
-        assert sets.unknown == {}
+        assert sets.unknown == set()
 
     def test_filtered_family_is_the_four(self, tiny3):
         sets = enumerate_patterns(tiny3)
         assert set(sets.feasible) == TINY3_MAXIMAL
-        assert sets.unknown == {}
+        assert sets.unknown == set()
 
     def test_witnesses_verified(self, tiny3):
         sets = enumerate_patterns(tiny3)
@@ -160,17 +162,20 @@ class TestEnumerateTiny3:
     def test_dominance_infeasible_has_verified_certificate(self, tiny3):
         sets = enumerate_patterns(tiny3, filter_result=False)
         derived = CircularPattern(2, (2, 1, 0))
-        assert derived in sets.infeasible
-        assert any(
-            dominates(derived, q) for q in sets.infeasible - {derived}
-        )
+        assert sets.status_of(derived) is None  # skipped, not stored
+        assert any(dominates(derived, q) for q in sets.infeasible)
+        # so no stored certificate lies above another
+        assert filter_dominated(sets.infeasible) == sets.infeasible
 
     def test_partition_covers_all_candidates(self, tiny3):
         sets = enumerate_patterns(tiny3, filter_result=False)
-        everything = set(sets.feasible) | sets.infeasible | set(sets.unknown)
+        everything = set(sets.feasible) | sets.infeasible | sets.unknown
         for t in range(tiny3.type_count):
             for counts in candidate_space(tiny3, t):
-                assert CircularPattern(t, counts) in everything
+                pat = CircularPattern(t, counts)
+                assert pat in everything or any(
+                    dominates(pat, q) for q in sets.infeasible
+                )
         assert not (set(sets.feasible) & sets.infeasible)
         assert not (set(sets.feasible) & set(sets.unknown))
         assert not (sets.infeasible & set(sets.unknown))
@@ -180,7 +185,7 @@ class TestBudgets:
     def test_zero_budget_still_classifies_cheap_candidates(self, tiny3):
         sets = enumerate_patterns(tiny3, budget=0.0, filter_result=False)
         assert set(sets.feasible) == TINY3_FEASIBLE
-        assert sets.unknown == {CircularPattern(2, (1, 1, 0)): 0}
+        assert sets.unknown == {CircularPattern(2, (1, 1, 0))}
         assert CircularPattern(2, (2, 1, 0)) in sets.infeasible
 
     def test_budget_monotonicity(self, tiny3):
@@ -192,9 +197,9 @@ class TestBudgets:
     def test_warm_cache_resolves_without_budget(self, tiny3):
         cache = {}
         first = enumerate_patterns(tiny3, cache=cache, filter_result=False)
-        assert first.unknown == {}
+        assert first.unknown == set()
         warm = enumerate_patterns(tiny3, budget=0.0, cache=cache, filter_result=False)
-        assert warm.unknown == {}
+        assert warm.unknown == set()
         assert set(warm.feasible) == set(first.feasible)
         assert warm.infeasible == first.infeasible
 
@@ -227,7 +232,7 @@ class TestDumpLoad:
         again = load_patterns(text, tiny3)
         assert set(again.feasible) == set(sets.feasible)
         assert again.infeasible == sets.infeasible
-        assert set(again.unknown) == set(sets.unknown)
+        assert again.unknown == sets.unknown
 
     def test_dump_is_sorted_and_stable(self, tiny3):
         sets = enumerate_patterns(tiny3, filter_result=False)
@@ -298,9 +303,40 @@ class TestGradedOrderProperty:
             assert len(seen) == len(set(seen))
             for v in seen:
                 assert all(c <= cap for c, cap in zip(v, caps))
-            import math
             expected = math.prod(c + 1 for c in caps)
             assert len(seen) == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_walk_skips_exactly_what_proofs_rule_out(self, data):
+        caps = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        # small rings with demand = cap, nested in one big hole
+        triples = [(0.0, 0.1 * (s + 1), c) for s, c in enumerate(caps)]
+        inst = make_instance(25, 25, triples + [(10.0, 10.5, 1)])
+        t = len(caps)
+        caps = circular_caps(inst, t)
+        grid = list(itertools.product(*(range(c + 1) for c in caps)))
+        # packable vectors form a down-set: those below some random maximal ones
+        tops = data.draw(st.lists(st.sampled_from(grid), max_size=4))
+        packable = {v for v in grid if any(_below(v, top) for top in tops)}
+
+        proven = set()
+        seen = []
+        for counts in candidate_space(inst, t, proven):
+            seen.append(counts)
+            if counts not in packable:
+                proven.add(counts)
+
+        # a proof rules out every vector strictly above it
+        open_ = [
+            v for v in grid
+            if not any(_below(q, v) and q != v for q in grid if q not in packable)
+        ]
+        assert seen == sorted(open_, key=lambda v: (sum(v), v))
+
+
+def _below(p, q):
+    return all(a <= b for a, b in zip(p, q))
 
 
 class TestPatternTypes:

@@ -9,7 +9,6 @@ from ringpack.simplex import (
     LinearProgram,
     NumericalFailure,
     UnknownColumn,
-    UnknownOperation,
     solve_lp,
 )
 
@@ -83,14 +82,6 @@ def test_fix_basic_column_reopt():
     assert second.objective >= first.objective - 1e-9
     assert second.objective == pytest.approx(6.0, abs=1e-9)
     assert second.primal.get(x, 0.0) == 0.0
-
-
-def test_unfix_unsupported():
-    lp = LinearProgram()
-    x = lp.add_column(1.0)
-    lp.fix_column_zero(x)
-    with pytest.raises(UnknownOperation):
-        lp.unfix_column(x)
 
 
 def test_unknown_column_rejected():

@@ -56,7 +56,7 @@ def plant_unknown(pattern):
     return PatternSets(
         feasible={p: w for p, w in base.feasible.items() if p != pattern},
         infeasible=set(base.infeasible) - {pattern},
-        unknown={pattern: 0},
+        unknown={pattern},
     )
 
 
