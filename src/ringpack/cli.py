@@ -42,12 +42,16 @@ PROFILES = {"desk": DESK_CONFIG, "paper": SolveConfig()}
 PUBLIC_COMMANDS = "{generate,enumerate,solve,validate,render}"
 
 
-def _load_instance(path: str) -> Instance:
-    text = Path(path).read_text()
+def _parse(parse, text: str, path: str, **kwargs):
+    """parse(text), with a malformed document ending the run in one line."""
     try:
-        return parse_instance(text, name=Path(path).stem)
+        return parse(text, **kwargs)
     except (MalformedInput, InvariantViolation) as exc:
         raise SystemExit(f"{path}: {exc}") from None
+
+
+def _load_instance(path: str) -> Instance:
+    return _parse(parse_instance, Path(path).read_text(), path, name=Path(path).stem)
 
 
 def _config_from(args) -> SolveConfig:
@@ -161,7 +165,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
-    solution = parse_solution(Path(args.solution).read_text())
+    solution = _parse(parse_solution, Path(args.solution).read_text(), args.solution)
     result = validate_solution(inst, solution)
     if result.feasible:
         print("feasible")
@@ -182,8 +186,8 @@ def _cmd_render(args) -> int:
             raise SystemExit(
                 "solution file has no embedded instance; pass --instance"
             )
-        inst = parse_instance(block, name=Path(args.solution).stem)
-    solution = parse_solution(text)
+        inst = _parse(parse_instance, block, args.solution, name=Path(args.solution).stem)
+    solution = _parse(parse_solution, text, args.solution)
     Path(args.out).write_text(render_svg(inst, solution))
     print(f"wrote {args.out}")
     return 0

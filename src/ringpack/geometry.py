@@ -28,6 +28,7 @@ at the fixed rate NODES_PER_SECOND.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,10 @@ def check_placements(container: Container, radii, centers, tolerance: float = 1e
     each constraint relaxed by `tolerance`."""
     if len(radii) != len(centers):
         raise ValueError("need one center per circle")
+    # max() in _violation drops a NaN term, so a non-finite center must be
+    # refused here or it would pass every constraint
+    if not all(map(math.isfinite, itertools.chain.from_iterable(centers))):
+        return False
     return _violation(container, radii, centers) <= tolerance
 
 
@@ -185,6 +190,28 @@ def _greedy_candidates(container, r, placed):
     return out
 
 
+def _fits_beside(container, r, cand, placed, tolerance) -> bool:
+    """True iff no constraint term of circle `r` at `cand` exceeds
+    `tolerance`: its containment, and its separation from each placed
+    circle.  The placed circles passed together when the last of them was
+    placed, and their own terms have not changed, so this decides the same
+    as checking the whole trial placement.  A NaN term breaches nothing,
+    as in _violation."""
+    x, y = cand
+    if isinstance(container, Disk):
+        if math.hypot(x, y) - (container.radius - r) > tolerance:
+            return False
+    else:
+        w, h = container.width, container.height
+        if (r - x > tolerance or x - (w - r) > tolerance
+                or r - y > tolerance or y - (h - r) > tolerance):
+            return False
+    for (px, py), pr in placed:
+        if pr + r - math.hypot(px - x, py - y) > tolerance:
+            return False
+    return True
+
+
 def greedy_pack(container: Container, multiset, tolerance: float = 1e-9) -> Verdict:
     """Place circles largest-first at the left-most, then lowest feasible
     candidate position.  Feasible comes with a checked witness; Infeasible
@@ -194,9 +221,7 @@ def greedy_pack(container: Container, multiset, tolerance: float = 1e-9) -> Verd
     for r in radii:
         best = None
         for cand in _greedy_candidates(container, r, placed):
-            trial_radii = [pr for _, pr in placed] + [r]
-            trial_pts = [p for p, _ in placed] + [cand]
-            if _violation(container, trial_radii, trial_pts) <= tolerance:
+            if _fits_beside(container, r, cand, placed, tolerance):
                 if best is None or cand < best:
                     best = cand
         if best is None:
@@ -290,134 +315,177 @@ def _min_norm_sq(lox, hix, loy, hiy):
     return dx * dx + dy * dy
 
 
-def _max_abs(lo, hi):
-    return max(abs(lo), abs(hi))
+class _Search:
+    """What one verify_exact call computes once instead of at every node.
 
-
-def _order_tighten(boxes, radii):
-    """Equal-radius circles keep nondecreasing x; returns False on an empty box.
-
-    Sound symmetry breaking: any placement can be renamed so that circles of
-    one radius appear left to right in expansion order.
+    A node holds its boxes as four lists (lox, hix, loy, hiy) plus, per
+    circle, the reach bound `ub`, the midpoint (px, py) and the two box
+    widths.  `changed` names the circles whose box differs from the
+    parent's; the methods redo only their work.  Every float expression is
+    the one the search has always evaluated, in the same order, so nodes,
+    verdicts and witnesses do not move by a bit.
     """
-    n = len(radii)
-    for i in range(n - 1):
-        if radii[i] != radii[i + 1]:
-            continue
-        a, b = boxes[i], boxes[i + 1]
-        if b[0] < a[0]:
-            b[0] = a[0]
-        if a[1] > b[1]:
-            a[1] = b[1]
-        if a[0] > a[1] or b[0] > b[1]:
-            return False
-    for i in range(n - 2, -1, -1):
-        if radii[i] != radii[i + 1]:
-            continue
-        a, b = boxes[i], boxes[i + 1]
-        if a[1] > b[1]:
-            a[1] = b[1]
-        if a[0] > a[1]:
-            return False
-    return True
 
+    __slots__ = ("radii", "tolerance", "disk", "rho", "w", "h", "ox", "oy", "reach",
+                 "nox", "noy", "pairs", "touching", "need_sum", "equal")
 
-def _prune(boxes, radii, container, ox, oy, reach, tolerance):
-    """True when no point of the box product can be feasible (beyond the
-    tolerance band)."""
-    n = len(radii)
-    disk = isinstance(container, Disk)
-    ub = []
-    for i in range(n):
-        lox, hix, loy, hiy = boxes[i]
-        mn = math.sqrt(
-            _max_abs(lox - ox, hix - ox) ** 2 + _max_abs(loy - oy, hiy - oy) ** 2
-        )
-        ub.append(min(reach[i], mn))
-        if disk and math.sqrt(_min_norm_sq(lox, hix, loy, hiy)) > reach[i] + tolerance:
-            return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            need = radii[i] + radii[j] - tolerance
-            if ub[i] + ub[j] < need:
+    def __init__(self, container, radii, tolerance):
+        k = len(radii)
+        self.radii = radii
+        self.tolerance = tolerance
+        self.disk = isinstance(container, Disk)
+        self.ox, self.oy, self.reach = _origin_and_reach(container, radii)
+        self.nox, self.noy = k * self.ox, k * self.oy
+        if self.disk:
+            # a disk's reach, max(rho - r, 0), is also its clamp radius
+            self.rho = container.radius
+        else:
+            self.w, self.h = container.width, container.height
+        # every pair i < j as (i, j, s, s - 1e-15, need, need * need), where
+        # s = r_i + r_j and need = s - tolerance; touching[c] lists the
+        # pairs that include circle c
+        pairs, touching, equal, need_sum = [], [[] for _ in radii], [], 0.0
+        for i in range(k):
+            if i + 1 < k and radii[i] == radii[i + 1]:
+                equal.append((i, i + 1))
+            for j in range(i + 1, k):
+                s = radii[i] + radii[j]
+                need = s - tolerance
+                pair = (i, j, s, s - 1e-15, need, need * need)
+                pairs.append(pair)
+                touching[i].append(pair)
+                touching[j].append(pair)
+                if need > 0:
+                    need_sum += need * need
+        self.pairs, self.touching, self.equal, self.need_sum = pairs, touching, equal, need_sum
+
+    def order_tighten(self, lox, hix, changed) -> bool:
+        """Equal-radius circles keep nondecreasing x; False on an empty box.
+
+        Sound symmetry breaking: any placement can be renamed so that
+        circles of one radius appear left to right in expansion order.
+        """
+        for i, j in self.equal:
+            if lox[j] < lox[i]:
+                lox[j] = lox[i]
+                changed.add(j)
+            if hix[i] > hix[j]:
+                hix[i] = hix[j]
+                changed.add(i)
+            if lox[i] > hix[i] or lox[j] > hix[j]:
+                return False
+        for i, j in reversed(self.equal):
+            if hix[i] > hix[j]:
+                hix[i] = hix[j]
+                changed.add(i)
+            if lox[i] > hix[i]:
+                return False
+        return True
+
+    def prune(self, lox, hix, loy, hiy, ub, changed) -> bool:
+        """True when no point of the box product can be feasible (beyond
+        the tolerance band).  Refreshes `ub` for the changed circles and
+        tests only the pairs that touch one; the parent passed the rest."""
+        ox, oy, reach, tol = self.ox, self.oy, self.reach, self.tolerance
+        disk, sqrt = self.disk, math.sqrt
+        for c in changed:
+            lx, hx, ly, hy = lox[c], hix[c], loy[c], hiy[c]
+            mn = sqrt(max(abs(lx - ox), abs(hx - ox)) ** 2 + max(abs(ly - oy), abs(hy - oy)) ** 2)
+            ub[c] = min(reach[c], mn)
+            if disk and sqrt(_min_norm_sq(lx, hx, ly, hy)) > reach[c] + tol:
                 return True
-            bx = boxes[j]
-            mx = max(boxes[i][1] - bx[0], bx[1] - boxes[i][0], 0.0)
-            my = max(boxes[i][3] - bx[2], bx[3] - boxes[i][2], 0.0)
-            if mx * mx + my * my < need * need:
+        if len(changed) == len(ub):
+            groups = (self.pairs,)  # the root: every pair once
+        else:
+            groups = [self.touching[c] for c in changed]
+        for group in groups:
+            for i, j, _, _, need, need_sq in group:
+                if ub[i] + ub[j] < need:
+                    return True
+                mx = max(hix[i] - lox[j], hix[j] - lox[i], 0.0)
+                my = max(hiy[i] - loy[j], hiy[j] - loy[i], 0.0)
+                if mx * mx + my * my < need_sq:
+                    return True
+        if len(ub) >= 2:
+            # sum over pairs of squared distances equals n*sum|p_i|^2 - |sum p_i|^2
+            # about any origin; bound both terms by the boxes and reach disks
+            l_sq = _min_norm_sq(sum(lox) - self.nox, sum(hix) - self.nox,
+                                sum(loy) - self.noy, sum(hiy) - self.noy)
+            avail = len(ub) * sum(u * u for u in ub) - l_sq
+            if avail < self.need_sum:
                 return True
-    if n >= 2:
-        # sum over pairs of squared distances equals n*sum|p_i|^2 - |sum p_i|^2
-        # about any origin; bound both terms by the boxes and reach disks
-        slx = sum(b[0] for b in boxes) - n * ox
-        shx = sum(b[1] for b in boxes) - n * ox
-        sly = sum(b[2] for b in boxes) - n * oy
-        shy = sum(b[3] for b in boxes) - n * oy
-        l_sq = _min_norm_sq(slx, shx, sly, shy)
-        avail = n * sum(u * u for u in ub) - l_sq
-        need = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = radii[i] + radii[j] - tolerance
-                if s > 0:
-                    need += s * s
-        if avail < need:
-            return True
-    return False
+        return False
 
+    def midpoint(self, lox, hix, loy, hiy, px, py, changed):
+        """Box centers of the changed circles, pulled into the disk."""
+        for c in changed:
+            x, y = (lox[c] + hix[c]) / 2.0, (loy[c] + hiy[c]) / 2.0
+            if self.disk:
+                m = self.reach[c]
+                d = math.hypot(x, y)
+                if d > m and d > 0:
+                    x, y = x * m / d, y * m / d
+            px[c] = x
+            py[c] = y
 
-def _midpoint(boxes, container, radii):
-    pts = []
-    disk = isinstance(container, Disk)
-    for (lox, hix, loy, hiy), r in zip(boxes, radii):
-        x, y = (lox + hix) / 2.0, (loy + hiy) / 2.0
-        if disk:
-            m = max(container.radius - r, 0.0)
-            d = math.hypot(x, y)
-            if d > m and d > 0:
-                x, y = x * m / d, y * m / d
-        pts.append((x, y))
-    return pts
+    def fits(self, xs, ys) -> bool:
+        """_violation(...) <= tolerance, stopping at the first term above
+        `tolerance`; a NaN term breaches nothing, as there."""
+        tol, hypot = self.tolerance, math.hypot
+        for i, j, s, _, _, _ in self.pairs:
+            if s - hypot(xs[i] - xs[j], ys[i] - ys[j]) > tol:
+                return False
+        if self.disk:
+            rho = self.rho
+            for x, y, r in zip(xs, ys, self.radii):
+                if hypot(x, y) - (rho - r) > tol:
+                    return False
+        else:
+            w, h = self.w, self.h
+            for x, y, r in zip(xs, ys, self.radii):
+                if r - x > tol or x - (w - r) > tol or r - y > tol or y - (h - r) > tol:
+                    return False
+        return True
 
-
-def _push_apart(container, radii, pts, iters=_REPAIR_ITERS):
-    """Separate overlapping pairs and re-clamp into the container."""
-    pts = [list(p) for p in pts]
-    n = len(radii)
-    disk = isinstance(container, Disk)
-    for _ in range(iters):
-        moved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                dx = pts[j][0] - pts[i][0]
-                dy = pts[j][1] - pts[i][1]
-                d = math.hypot(dx, dy)
-                need = radii[i] + radii[j]
-                if d >= need - 1e-15:
+    def push_apart(self, px, py):
+        """Separate overlapping pairs and re-clamp into the container."""
+        xs, ys = list(px), list(py)
+        hypot, pairs = math.hypot, self.pairs
+        if self.disk:
+            clamp = list(enumerate(self.reach))
+        else:
+            w, h = self.w, self.h
+            clamp = [(i, r, w - r, h - r) for i, r in enumerate(self.radii)]
+        for _ in range(_REPAIR_ITERS):
+            moved = False
+            for i, j, need, near, _, _ in pairs:
+                dx = xs[j] - xs[i]
+                dy = ys[j] - ys[i]
+                d = hypot(dx, dy)
+                if d >= near:
                     continue
                 if d < 1e-12:
                     dx, dy, d = 1.0, 0.0, 1.0
                 shift = (need - d) / 2.0 + 1e-12
                 ux, uy = dx / d, dy / d
-                pts[i][0] -= ux * shift
-                pts[i][1] -= uy * shift
-                pts[j][0] += ux * shift
-                pts[j][1] += uy * shift
+                xs[i] -= ux * shift
+                ys[i] -= uy * shift
+                xs[j] += ux * shift
+                ys[j] += uy * shift
                 moved = True
-        for i in range(n):
-            r = radii[i]
-            if disk:
-                m = max(container.radius - r, 0.0)
-                d = math.hypot(pts[i][0], pts[i][1])
-                if d > m and d > 0:
-                    pts[i][0] *= m / d
-                    pts[i][1] *= m / d
+            if self.disk:
+                for i, m in clamp:
+                    d = hypot(xs[i], ys[i])
+                    if d > m and d > 0:
+                        xs[i] *= m / d
+                        ys[i] *= m / d
             else:
-                pts[i][0] = min(max(pts[i][0], r), container.width - r)
-                pts[i][1] = min(max(pts[i][1], r), container.height - r)
-        if not moved:
-            break
-    return tuple((p[0], p[1]) for p in pts)
+                for i, r, fx, fy in clamp:
+                    xs[i] = min(max(xs[i], r), fx)
+                    ys[i] = min(max(ys[i], r), fy)
+            if not moved:
+                break
+        return tuple(zip(xs, ys))
 
 
 def verify_exact(
@@ -436,8 +504,19 @@ def verify_exact(
     tolerance band.  Unknown means `node_limit` nodes did not settle it.
     Callers try analytic_prefilter and greedy_pack first; this search does
     not repeat them.
+
+    Each node redoes only what its branch changed.  A child's boxes equal
+    its parent's except the bisected one and any that order tightening
+    moved, and the parent passed every per-box and pairwise pruning test,
+    which read nothing but the boxes involved.  So those tests, run again
+    on boxes that did not change, would give the same answer: only the
+    pairs touching a changed box are tested, and the reach bounds,
+    midpoints and widths of the other circles are carried down.  The bound
+    over all pairs sums every box and is recomputed in full.  Verdicts,
+    node counts and witnesses are those of the search that re-tests
+    everything at every node.
     """
-    if node_limit < 0 or tolerance <= 0:
+    if not (node_limit >= 0 and tolerance > 0):
         raise ValueError("node_limit must be nonnegative and tolerance positive")
     radii = expand_multiset(multiset)
     k = len(radii)
@@ -446,40 +525,47 @@ def verify_exact(
     boxes = _root_boxes(container, radii, tolerance)
     if boxes is None:
         return Verdict(INFEASIBLE, reason="inradius bound")
-    ox, oy, reach = _origin_and_reach(container, radii)
+    search = _Search(container, radii, tolerance)
+    # a node is [lox, hix, loy, hiy, ub, px, py, width]; a stack entry is
+    # (parent node, circle, side, value), the child whose box side (0 lox,
+    # 1 hix, 2 loy, 3 hiy) of that circle is set to value.  Circle -1 marks
+    # the root, where every circle counts as changed and fills the zeros.
+    root = [*map(list, zip(*boxes)), [0.0] * k, [0.0] * k, [0.0] * k, [0.0] * (2 * k)]
+    stack = [(root, -1, 0, 0.0)]
     nodes = 0
-    stack = [boxes]
     while stack:
         if nodes >= node_limit:
             return Verdict(UNKNOWN, reason=REASON_NODES, nodes=nodes)
-        boxes = stack.pop()
+        parent, c, side, value = stack.pop()
         nodes += 1
-        if order_constraints and not _order_tighten(boxes, radii):
+        if c < 0:
+            node, changed = parent, set(range(k))
+        else:
+            node = [v.copy() for v in parent]
+            node[side][c] = value
+            changed = {c}
+        lox, hix, loy, hiy, ub, px, py, width = node
+        if order_constraints and not search.order_tighten(lox, hix, changed):
             continue
-        if _prune(boxes, radii, container, ox, oy, reach, tolerance):
+        if search.prune(lox, hix, loy, hiy, ub, changed):
             continue
-        mid = _midpoint(boxes, container, radii)
-        if _violation(container, radii, mid) <= tolerance:
-            return Verdict(FEASIBLE, witness=tuple(mid), reason="midpoint", nodes=nodes)
+        search.midpoint(lox, hix, loy, hiy, px, py, changed)
+        if search.fits(px, py):
+            return Verdict(FEASIBLE, witness=tuple(zip(px, py)), reason="midpoint", nodes=nodes)
         if nodes % _REPAIR_EVERY == 1:
-            fixed = _push_apart(container, radii, mid)
+            fixed = search.push_apart(px, py)
             if check_placements(container, radii, fixed, tolerance):
                 return Verdict(FEASIBLE, witness=fixed, reason="repair", nodes=nodes)
-        best_i, best_ax, best_w = -1, 0, BOX_FLOOR
-        for i, (lox, hix, loy, hiy) in enumerate(boxes):
-            if hix - lox > best_w:
-                best_i, best_ax, best_w = i, 0, hix - lox
-            if hiy - loy > best_w:
-                best_i, best_ax, best_w = i, 1, hiy - loy
-        if best_i < 0:
+        for i in changed:
+            width[2 * i] = hix[i] - lox[i]
+            width[2 * i + 1] = hiy[i] - loy[i]
+        # the first widest side, x before y, as a left-to-right scan finds it
+        widest = max(width)
+        if not widest > BOX_FLOOR:
             continue  # below resolution floor: cannot hold an exact placement
-        lo = boxes[best_i][2 * best_ax]
-        hi = boxes[best_i][2 * best_ax + 1]
-        mid_v = (lo + hi) / 2.0
-        upper = [list(b) for b in boxes]
-        lower = [list(b) for b in boxes]
-        upper[best_i][2 * best_ax] = mid_v
-        lower[best_i][2 * best_ax + 1] = mid_v
-        stack.append(upper)
-        stack.append(lower)
+        i, axis = divmod(width.index(widest), 2)
+        lo = 2 * axis
+        mid_v = (node[lo][i] + node[lo + 1][i]) / 2.0
+        stack.append((node, i, lo, mid_v))
+        stack.append((node, i, lo + 1, mid_v))
     return Verdict(INFEASIBLE, reason="search exhausted", nodes=nodes)

@@ -283,8 +283,9 @@ def validate_solution(
     containment of each nested ring inside its parent, pairwise disjointness
     of rings that share a direct container, and exact demand coverage.
     Structural defects (bad indices, cycles, parent in another rectangle,
-    child not smaller than the parent hole admits) are reported as
-    ContainmentBreach with infinite magnitude rather than raising.
+    child not smaller than the parent hole admits, a center that is not a
+    finite number) are reported as ContainmentBreach with infinite
+    magnitude rather than raising.
     """
     violations: list[Violation] = []
     rings = solution.rings
@@ -295,6 +296,8 @@ def validate_solution(
         if not (0 <= ring.type_index < instance.type_count):
             structural_bad.add(i)
             continue
+        if not (math.isfinite(ring.center_x) and math.isfinite(ring.center_y)):
+            structural_bad.add(i)
         if not (0 <= ring.rectangle < solution.rectangle_count):
             structural_bad.add(i)
         if ring.parent is not None:
@@ -406,11 +409,15 @@ def parse_solution(text: str) -> PlacedSolution:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "rectangles" and len(tokens) == 2:
-            rect_count = int(tokens[1])
-            continue
-        if tokens[0] == "rings" and len(tokens) == 2:
-            ring_count = int(tokens[1])
+        if tokens[0] in ("rectangles", "rings") and len(tokens) == 2:
+            try:
+                count = int(tokens[1])
+            except ValueError:
+                raise MalformedInput(f"line {lineno}: bad {tokens[0]} count") from None
+            if tokens[0] == "rectangles":
+                rect_count = count
+            else:
+                ring_count = count
             continue
         if len(tokens) != 5:
             raise MalformedInput(f"line {lineno}: expected `t rect parent x y`")

@@ -145,6 +145,22 @@ class TestValidate:
         assert rc == 1
         assert "BoundaryX" in capsys.readouterr().out
 
+    def test_non_finite_centers_fail(self, tiny3_file, tmp_path, capsys):
+        bad = tmp_path / "nan.sol"
+        bad.write_text("rectangles 2\n2 1 -1 nan nan\n1 0 -1 nan nan\n"
+                       "0 1 0 nan nan\n0 0 1 inf 1.8\n")
+        rc = main(["validate", str(tiny3_file), str(bad)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.count("ContainmentBreach") == 4 and "magnitude=inf" in out
+
+    def test_malformed_solution_is_one_line_error(self, tiny3_file, tmp_path):
+        bad = tmp_path / "bad.sol"
+        bad.write_text("rectangles x\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(tiny3_file), str(bad)])
+        assert str(exc.value) == f"{bad}: line 1: bad rectangles count"
+
 
 class TestRender:
     def test_structure_matches_solution(self, tiny3_file, tmp_path):
@@ -169,6 +185,14 @@ class TestRender:
         rc = main(["render", str(sol), "-o", str(tmp_path / "x.svg"),
                    "--instance", str(tiny3_file)])
         assert rc == 0
+
+    def test_malformed_embedded_instance_is_one_line_error(self, tiny3_file, tmp_path):
+        report = tmp_path / "t.report"
+        main(["solve", str(tiny3_file), "-o", str(report)])
+        report.write_text(report.read_text().replace("instance\n4 4\n", "instance\nnan 4\n"))
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(report), "-o", str(tmp_path / "x.svg")])
+        assert str(exc.value).startswith(f"{report}: ") and "\n" not in str(exc.value)
 
 
 class TestGenerate:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,11 @@ class TestCheckPlacements:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             check_placements(Rect(4, 4), [0.7], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_centers_rejected(self, bad):
+        assert not check_placements(Disk(1), [0.5] * 3, [(bad, bad)] * 3)
+        assert not check_placements(Rect(4, 4), [0.7, 0.7], [(0.7, 0.7), (bad, 2.0)])
 
 
 class TestGreedyPack:
@@ -235,6 +242,10 @@ class TestVerifyExactBehavior:
             verify_exact(Disk(2.0), [(0.84, 4)], tolerance=0.0)
         with pytest.raises(ValueError):
             verify_exact(Disk(2.0), [(0.84, 4)], tolerance=-1e-9)
+        with pytest.raises(ValueError):
+            verify_exact(Disk(1.0), [(0.6, 2)], tolerance=math.nan)
+        with pytest.raises(ValueError):
+            verify_exact(Disk(1.0), [(0.6, 2)], node_limit=math.nan)
 
     @given(
         st.lists(
@@ -265,3 +276,38 @@ class TestVerdictShape:
         a = Verdict(FEASIBLE, witness=((0.0, 0.0),), reason="x", nodes=1)
         b = Verdict(FEASIBLE, witness=((0.0, 0.0),), reason="x", nodes=1)
         assert a == b
+
+
+# Kernel equivalence gate.  Each case of kernel_cases.json was recorded from
+# the search as of commit 0d3e182, which re-tested every box and every pair
+# at every node: verify_exact(container, multiset, node_limit,
+# order_constraints=...) and greedy_pack(container, multiset) at the default
+# tolerance, with repr() of each witness coordinate.  The cases cover disk
+# and rectangle containers, k = 1 to 9, radii at and just past the two-,
+# three- and four-in-disk and 2 x 2 grid thresholds, order constraints off,
+# node limit 0, and node-limited Unknowns long enough to run the repair at
+# nodes 1, 17, 33, ...  The kernel must reproduce every field exactly.
+KERNEL_CASES = json.loads((Path(__file__).parent / "kernel_cases.json").read_text())
+
+
+def _kernel_case_id(case):
+    kind, *dims = case["container"]
+    k = sum(n for _, n in case["multiset"])
+    return f"{kind}{dims}-k{k}-{case['node_limit']}"
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=_kernel_case_id)
+def test_kernel_matches_recorded_search(case):
+    kind, *dims = case["container"]
+    container = Disk(*dims) if kind == "disk" else Rect(*dims)
+    ms = [tuple(p) for p in case["multiset"]]
+
+    def witness(v):
+        return None if v.witness is None else [[repr(x), repr(y)] for x, y in v.witness]
+
+    v = verify_exact(container, ms, case["node_limit"],
+                     order_constraints=case["order_constraints"])
+    got = {"status": v.status, "reason": v.reason, "nodes": v.nodes, "witness": witness(v)}
+    assert got == case["verify"]
+    g = greedy_pack(container, ms)
+    assert {"status": g.status, "reason": g.reason, "witness": witness(g)} == case["greedy"]

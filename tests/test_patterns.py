@@ -252,6 +252,8 @@ class TestDumpLoad:
         line = "C 2 2 0 0 Feasible 0 0 0.1 0\n"
         sets = load_patterns(line, tiny3)
         assert sets.feasible == {}
+        sets = load_patterns("C 2 2 0 0 Feasible nan nan nan nan\n", tiny3)
+        assert sets.feasible == {}
 
     def test_bad_line_raises(self, tiny3):
         with pytest.raises(MalformedInput):
