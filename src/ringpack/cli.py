@@ -125,7 +125,10 @@ def _instance_block(text: str) -> str | None:
 
 
 def _cmd_generate(args) -> int:
-    inst = generate_instance(args.T, args.alpha, args.beta, args.gamma, args.seed)
+    try:
+        inst = generate_instance(args.T, args.alpha, args.beta, args.gamma, args.seed)
+    except ValueError as exc:  # InfeasibleParameters included
+        raise SystemExit(f"generate: {exc}") from None
     out = args.out or f"{inst.name}_{args.seed}.rpa"
     Path(out).write_text(write_instance(inst))
     print(f"wrote {out}: {inst.type_count} types, {inst.ring_count} rings")

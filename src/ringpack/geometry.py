@@ -10,10 +10,11 @@ routes, cheapest first:
                       is "gave up", not a proof
   verify_exact        complete spatial branch and bound over center boxes
 
-Verdicts are exact up to a tolerance band: a placement violating no
-constraint by more than `tolerance` counts as feasible, and infeasibility
-pruning demands a violation certainly above `tolerance`, so radii within a
-few parts in 10^10 of a tight threshold may legitimately resolve either way.
+Verdicts are exact up to a fixed band, TOLERANCE: a placement violating no
+constraint by more than TOLERANCE counts as feasible, and infeasibility
+pruning demands a violation certainly above it, so radii within a few parts
+in 10^10 of a tight threshold may legitimately resolve either way.
+model.validate_solution accepts placements within the same band.
 
 Witness convention: every witness lists centers for the multiset expanded in
 nonincreasing radius order (ties keep the multiset's ascending-radius groups
@@ -41,7 +42,11 @@ REASON_NODES = "NodeLimit"
 # virtual clock: one second of budget buys this many search nodes
 NODES_PER_SECOND = 100_000
 
-# boxes thinner than this are abandoned; must stay well below any tolerance
+# the geometric band: every containment and separation constraint may be
+# breached by this much, in the kernel and in the solution validator alike
+TOLERANCE = 1e-9
+
+# boxes thinner than this are abandoned; must stay well below TOLERANCE
 BOX_FLOOR = 1e-10
 
 _REPAIR_EVERY = 16
@@ -52,11 +57,22 @@ _REPAIR_ITERS = 60
 class Disk:
     radius: float
 
+    def __post_init__(self) -> None:
+        # radius 0 is the hole of a solid ring: it holds nothing, but exists
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError(f"disk radius must be >= 0 and finite, got {self.radius}")
+
 
 @dataclass(frozen=True)
 class Rect:
     width: float
     height: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.width < math.inf and 0.0 < self.height < math.inf):
+            raise ValueError(
+                f"rectangle sides must be positive and finite, got {self.width} x {self.height}"
+            )
 
 
 Container = Disk | Rect
@@ -75,8 +91,8 @@ def expand_multiset(multiset) -> tuple[float, ...]:
     pairs = sorted(((float(r), int(c)) for r, c in multiset), key=lambda p: -p[0])
     radii: list[float] = []
     for r, c in pairs:
-        if r <= 0:
-            raise ValueError(f"radius must be positive, got {r}")
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {r}")
         if c < 1:
             raise ValueError(f"count must be at least 1, got {c}")
         radii.extend([r] * c)
@@ -117,16 +133,16 @@ def _violation(container: Container, radii, pts) -> float:
     return worst
 
 
-def check_placements(container: Container, radii, centers, tolerance: float = 1e-9) -> bool:
+def check_placements(container: Container, radii, centers) -> bool:
     """True iff every circle is inside the container and no pair overlaps,
-    each constraint relaxed by `tolerance`."""
+    each constraint relaxed by TOLERANCE."""
     if len(radii) != len(centers):
         raise ValueError("need one center per circle")
     # max() in _violation drops a NaN term, so a non-finite center must be
     # refused here or it would pass every constraint
     if not all(map(math.isfinite, itertools.chain.from_iterable(centers))):
         return False
-    return _violation(container, radii, centers) <= tolerance
+    return _violation(container, radii, centers) <= TOLERANCE
 
 
 def _circle_intersections(cx1, cy1, r1, cx2, cy2, r2):
@@ -190,29 +206,30 @@ def _greedy_candidates(container, r, placed):
     return out
 
 
-def _fits_beside(container, r, cand, placed, tolerance) -> bool:
+def _fits_beside(container, r, cand, placed) -> bool:
     """True iff no constraint term of circle `r` at `cand` exceeds
-    `tolerance`: its containment, and its separation from each placed
+    TOLERANCE: its containment, and its separation from each placed
     circle.  The placed circles passed together when the last of them was
     placed, and their own terms have not changed, so this decides the same
     as checking the whole trial placement.  A NaN term breaches nothing,
     as in _violation."""
     x, y = cand
+    tol = TOLERANCE
     if isinstance(container, Disk):
-        if math.hypot(x, y) - (container.radius - r) > tolerance:
+        if math.hypot(x, y) - (container.radius - r) > tol:
             return False
     else:
         w, h = container.width, container.height
-        if (r - x > tolerance or x - (w - r) > tolerance
-                or r - y > tolerance or y - (h - r) > tolerance):
+        if (r - x > tol or x - (w - r) > tol
+                or r - y > tol or y - (h - r) > tol):
             return False
     for (px, py), pr in placed:
-        if pr + r - math.hypot(px - x, py - y) > tolerance:
+        if pr + r - math.hypot(px - x, py - y) > tol:
             return False
     return True
 
 
-def greedy_pack(container: Container, multiset, tolerance: float = 1e-9) -> Verdict:
+def greedy_pack(container: Container, multiset) -> Verdict:
     """Place circles largest-first at the left-most, then lowest feasible
     candidate position.  Feasible comes with a checked witness; Infeasible
     only means the heuristic failed and proves nothing."""
@@ -221,14 +238,14 @@ def greedy_pack(container: Container, multiset, tolerance: float = 1e-9) -> Verd
     for r in radii:
         best = None
         for cand in _greedy_candidates(container, r, placed):
-            if _fits_beside(container, r, cand, placed, tolerance):
+            if _fits_beside(container, r, cand, placed):
                 if best is None or cand < best:
                     best = cand
         if best is None:
             return Verdict(INFEASIBLE, reason="greedy failed")
         placed.append((best, r))
     witness = tuple(p for p, _ in placed)
-    if not check_placements(container, radii, witness, tolerance):
+    if not check_placements(container, radii, witness):
         return Verdict(INFEASIBLE, reason="greedy failed")
     return Verdict(FEASIBLE, witness=witness, reason="greedy")
 
@@ -237,7 +254,7 @@ def greedy_pack(container: Container, multiset, tolerance: float = 1e-9) -> Verd
 THREE_IN_DISK = 2.0 * math.sqrt(3.0) - 3.0
 
 
-def analytic_prefilter(container: Container, multiset, tolerance: float = 1e-9) -> Verdict | None:
+def analytic_prefilter(container: Container, multiset) -> Verdict | None:
     """Closed-form certificates; None when no rule applies.
 
     Infeasible: total circle area above container area, a single circle
@@ -250,13 +267,13 @@ def analytic_prefilter(container: Container, multiset, tolerance: float = 1e-9) 
     k = len(radii)
     if k == 0:
         return Verdict(FEASIBLE, witness=(), reason="empty")
-    if sum(math.pi * r * r for r in radii) > _area(container) + tolerance:
+    if sum(math.pi * r * r for r in radii) > _area(container) + TOLERANCE:
         return Verdict(INFEASIBLE, reason="area bound")
-    if radii[0] > _inradius(container) + tolerance:
+    if radii[0] > _inradius(container) + TOLERANCE:
         return Verdict(INFEASIBLE, reason="inradius bound")
     equal = radii[0] == radii[-1]
     if isinstance(container, Disk) and k == 2 and equal:
-        if radii[0] > container.radius / 2.0 + tolerance:
+        if radii[0] > container.radius / 2.0 + TOLERANCE:
             return Verdict(INFEASIBLE, reason="two-in-disk bound")
     witness = None
     if k == 1:
@@ -268,31 +285,31 @@ def analytic_prefilter(container: Container, multiset, tolerance: float = 1e-9) 
     elif isinstance(container, Disk) and equal and k in (2, 3):
         rho, r = container.radius, radii[0]
         m = max(rho - r, 0.0)
-        if k == 2 and r <= rho / 2.0 + tolerance:
+        if k == 2 and r <= rho / 2.0 + TOLERANCE:
             witness = ((-m, 0.0), (m, 0.0))
-        elif k == 3 and r <= THREE_IN_DISK * rho + tolerance:
+        elif k == 3 and r <= THREE_IN_DISK * rho + TOLERANCE:
             s = m * math.sqrt(3.0) / 2.0
             witness = ((0.0, -m), (-s, m / 2.0), (s, m / 2.0))
-    if witness is not None and check_placements(container, radii, witness, tolerance):
+    if witness is not None and check_placements(container, radii, witness):
         return Verdict(FEASIBLE, witness=witness, reason="closed form")
     return None
 
 
-def _root_boxes(container, radii, tolerance):
+def _root_boxes(container, radii):
     """Per-circle center boxes, or None when some circle cannot fit at all."""
     boxes = []
     if isinstance(container, Disk):
         rho = container.radius
         for r in radii:
             m = rho - r
-            if m < -tolerance:
+            if m < -TOLERANCE:
                 return None
             m = max(m, 0.0)
             boxes.append([-m, m, -m, m])
     else:
         w, h = container.width, container.height
         for r in radii:
-            if 2 * r > w + tolerance or 2 * r > h + tolerance:
+            if 2 * r > w + TOLERANCE or 2 * r > h + TOLERANCE:
                 return None
             boxes.append([r, max(r, w - r), r, max(r, h - r)])
     return boxes
@@ -326,13 +343,12 @@ class _Search:
     verdicts and witnesses do not move by a bit.
     """
 
-    __slots__ = ("radii", "tolerance", "disk", "rho", "w", "h", "ox", "oy", "reach",
+    __slots__ = ("radii", "disk", "rho", "w", "h", "ox", "oy", "reach",
                  "nox", "noy", "pairs", "touching", "need_sum", "equal")
 
-    def __init__(self, container, radii, tolerance):
+    def __init__(self, container, radii):
         k = len(radii)
         self.radii = radii
-        self.tolerance = tolerance
         self.disk = isinstance(container, Disk)
         self.ox, self.oy, self.reach = _origin_and_reach(container, radii)
         self.nox, self.noy = k * self.ox, k * self.oy
@@ -342,7 +358,7 @@ class _Search:
         else:
             self.w, self.h = container.width, container.height
         # every pair i < j as (i, j, s, s - 1e-15, need, need * need), where
-        # s = r_i + r_j and need = s - tolerance; touching[c] lists the
+        # s = r_i + r_j and need = s - TOLERANCE; touching[c] lists the
         # pairs that include circle c
         pairs, touching, equal, need_sum = [], [[] for _ in radii], [], 0.0
         for i in range(k):
@@ -350,7 +366,7 @@ class _Search:
                 equal.append((i, i + 1))
             for j in range(i + 1, k):
                 s = radii[i] + radii[j]
-                need = s - tolerance
+                need = s - TOLERANCE
                 pair = (i, j, s, s - 1e-15, need, need * need)
                 pairs.append(pair)
                 touching[i].append(pair)
@@ -384,9 +400,9 @@ class _Search:
 
     def prune(self, lox, hix, loy, hiy, ub, changed) -> bool:
         """True when no point of the box product can be feasible (beyond
-        the tolerance band).  Refreshes `ub` for the changed circles and
+        the TOLERANCE band).  Refreshes `ub` for the changed circles and
         tests only the pairs that touch one; the parent passed the rest."""
-        ox, oy, reach, tol = self.ox, self.oy, self.reach, self.tolerance
+        ox, oy, reach, tol = self.ox, self.oy, self.reach, TOLERANCE
         disk, sqrt = self.disk, math.sqrt
         for c in changed:
             lx, hx, ly, hy = lox[c], hix[c], loy[c], hiy[c]
@@ -429,9 +445,9 @@ class _Search:
             py[c] = y
 
     def fits(self, xs, ys) -> bool:
-        """_violation(...) <= tolerance, stopping at the first term above
-        `tolerance`; a NaN term breaches nothing, as there."""
-        tol, hypot = self.tolerance, math.hypot
+        """_violation(...) <= TOLERANCE, stopping at the first term above
+        it; a NaN term breaches nothing, as there."""
+        tol, hypot = TOLERANCE, math.hypot
         for i, j, s, _, _, _ in self.pairs:
             if s - hypot(xs[i] - xs[j], ys[i] - ys[j]) > tol:
                 return False
@@ -492,7 +508,6 @@ def verify_exact(
     container: Container,
     multiset,
     node_limit: int = 1_000_000,
-    tolerance: float = 1e-9,
     order_constraints: bool = True,
 ) -> Verdict:
     """Complete search: bisect center boxes, prune boxes that provably
@@ -501,7 +516,7 @@ def verify_exact(
 
     Feasible always carries a checked witness.  Infeasible means the box tree
     was exhausted, which certifies that no placement stays within the
-    tolerance band.  Unknown means `node_limit` nodes did not settle it.
+    TOLERANCE band.  Unknown means `node_limit` nodes did not settle it.
     Callers try analytic_prefilter and greedy_pack first; this search does
     not repeat them.
 
@@ -516,16 +531,16 @@ def verify_exact(
     node counts and witnesses are those of the search that re-tests
     everything at every node.
     """
-    if not (node_limit >= 0 and tolerance > 0):
-        raise ValueError("node_limit must be nonnegative and tolerance positive")
+    if not node_limit >= 0:  # also rejects NaN
+        raise ValueError(f"node_limit must be nonnegative, got {node_limit}")
     radii = expand_multiset(multiset)
     k = len(radii)
     if k == 0:
         return Verdict(FEASIBLE, witness=(), reason="empty")
-    boxes = _root_boxes(container, radii, tolerance)
+    boxes = _root_boxes(container, radii)
     if boxes is None:
         return Verdict(INFEASIBLE, reason="inradius bound")
-    search = _Search(container, radii, tolerance)
+    search = _Search(container, radii)
     # a node is [lox, hix, loy, hiy, ub, px, py, width]; a stack entry is
     # (parent node, circle, side, value), the child whose box side (0 lox,
     # 1 hix, 2 loy, 3 hiy) of that circle is set to value.  Circle -1 marks
@@ -554,7 +569,7 @@ def verify_exact(
             return Verdict(FEASIBLE, witness=tuple(zip(px, py)), reason="midpoint", nodes=nodes)
         if nodes % _REPAIR_EVERY == 1:
             fixed = search.push_apart(px, py)
-            if check_placements(container, radii, fixed, tolerance):
+            if check_placements(container, radii, fixed):
                 return Verdict(FEASIBLE, witness=fixed, reason="repair", nodes=nodes)
         for i in changed:
             width[2 * i] = hix[i] - lox[i]

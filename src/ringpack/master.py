@@ -91,8 +91,8 @@ def build_master(
     )
 
 
-def lp_relax_value(model: MasterModel, tolerance: float = 1e-9) -> float:
-    model.last_result = solve_lp(model.lp, tolerance)
+def lp_relax_value(model: MasterModel) -> float:
+    model.last_result = solve_lp(model.lp)
     return model.last_result.objective
 
 

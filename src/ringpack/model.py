@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-DEFAULT_TOL = 1e-9
+from .geometry import TOLERANCE
 
 
 class MalformedInput(ValueError):
@@ -88,7 +88,7 @@ class Instance:
             raise InvariantViolation("types must be sorted by outer radius")
         lim = min(self.width, self.height)
         for i, t in enumerate(self.types):
-            if t.outer_radius > lim + DEFAULT_TOL:
+            if t.outer_radius > lim + TOLERANCE:
                 raise InvariantViolation(
                     f"type {i}: outer radius {t.outer_radius} exceeds min(W,H)={lim}"
                 )
@@ -189,6 +189,8 @@ def generate_instance(
     """
     if T < 1:
         raise ValueError("T must be at least 1")
+    if not all(map(math.isfinite, (alpha, beta, gamma))):
+        raise ValueError("alpha, beta and gamma must be finite")
     if alpha < 1.0:
         raise ValueError("alpha must be at least 1")
     if beta < 2.0:
@@ -274,14 +276,13 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def validate_solution(
-    instance: Instance, solution: PlacedSolution, tolerance: float = DEFAULT_TOL
-) -> ValidationReport:
+def validate_solution(instance: Instance, solution: PlacedSolution) -> ValidationReport:
     """Geometric feasibility check of a placed solution.
 
     Checks rectangle boundary containment for top-level rings, hole
     containment of each nested ring inside its parent, pairwise disjointness
-    of rings that share a direct container, and exact demand coverage.
+    of rings that share a direct container, and exact demand coverage, each
+    within geometry.TOLERANCE, the band the pattern verdicts use.
     Structural defects (bad indices, cycles, parent in another rectangle,
     child not smaller than the parent hole admits, a center that is not a
     finite number) are reported as ContainmentBreach with infinite
@@ -328,17 +329,17 @@ def validate_solution(
         if ring.parent is None:
             lo_x, hi_x = big_r, instance.width - big_r
             lo_y, hi_y = big_r, instance.height - big_r
-            if ring.center_x < lo_x - tolerance or ring.center_x > hi_x + tolerance:
+            if ring.center_x < lo_x - TOLERANCE or ring.center_x > hi_x + TOLERANCE:
                 excess = max(lo_x - ring.center_x, ring.center_x - hi_x)
                 violations.append(Violation(BOUNDARY_X, (i,), excess))
-            if ring.center_y < lo_y - tolerance or ring.center_y > hi_y + tolerance:
+            if ring.center_y < lo_y - TOLERANCE or ring.center_y > hi_y + TOLERANCE:
                 excess = max(lo_y - ring.center_y, ring.center_y - hi_y)
                 violations.append(Violation(BOUNDARY_Y, (i,), excess))
         else:
             p = ring.parent
             d = math.hypot(ring.center_x - rings[p].center_x, ring.center_y - rings[p].center_y)
             limit = hole(p) - big_r
-            if d > limit + tolerance:
+            if d > limit + TOLERANCE:
                 violations.append(Violation(CONTAINMENT_BREACH, (i, p), d - limit))
 
     by_container: dict[tuple[int, int | None], list[int]] = {}
@@ -351,7 +352,7 @@ def validate_solution(
                 i, j = members[a], members[b]
                 d = math.hypot(rings[i].center_x - rings[j].center_x, rings[i].center_y - rings[j].center_y)
                 need = radius(i) + radius(j)
-                if d < need - tolerance:
+                if d < need - TOLERANCE:
                     violations.append(Violation(OVERLAP, (i, j), need - d))
 
     counts = [0] * instance.type_count

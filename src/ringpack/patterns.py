@@ -230,21 +230,23 @@ def classify_counts(
     container,
     counts,
     budget: Budget,
-    tolerance: float,
     cache: dict | None = None,
     cache_key=None,
 ) -> Verdict:
-    """Prefilter, then greedy, then exact search charged to `budget`.
+    """Prefilter, then greedy, then exact search charged to `budget`, all
+    within the fixed band geometry.TOLERANCE.
 
-    Cache holds only settled facts (Feasible with witness, Infeasible), so a
-    later run with more budget can still upgrade an Unknown.
+    `cache` (pricing's, the one caller that meets a count vector twice)
+    holds only settled facts (Feasible with witness, Infeasible) under
+    `cache_key`, so a later call with more budget can still upgrade an
+    Unknown.
     """
     if cache is not None and cache_key in cache:
         return cache[cache_key]
     ms = counts_multiset(instance, counts)
-    verdict = analytic_prefilter(container, ms, tolerance)
+    verdict = analytic_prefilter(container, ms)
     if verdict is None:
-        g = greedy_pack(container, ms, tolerance)
+        g = greedy_pack(container, ms)
         if g.status == FEASIBLE:
             verdict = g
     if verdict is None:
@@ -252,7 +254,7 @@ def classify_counts(
         if node_limit <= 0:
             verdict = Verdict(UNKNOWN, reason="budget exhausted")
         else:
-            verdict = verify_exact(container, ms, node_limit, tolerance)
+            verdict = verify_exact(container, ms, node_limit)
             budget.charge(verdict.nodes)
 
     if cache is not None and verdict.status in (FEASIBLE, INFEASIBLE):
@@ -264,9 +266,7 @@ def enumerate_patterns(
     instance: Instance,
     limit: float = 10.0,
     budget: float = 1200.0,
-    cache: dict | None = None,
     filter_result: bool = True,
-    tolerance: float = 1e-9,
 ) -> PatternSets:
     """Classify every circular-pattern candidate of the instance.
 
@@ -290,10 +290,7 @@ def enumerate_patterns(
         proven: set[tuple[int, ...]] = set()
         for counts in candidate_space(instance, t, proven):
             pat = CircularPattern(t, counts)
-            verdict = classify_counts(
-                instance, container, counts, stage, tolerance,
-                cache=cache, cache_key=(t, counts),
-            )
+            verdict = classify_counts(instance, container, counts, stage)
             if verdict.status == FEASIBLE:
                 sets.feasible[pat] = verdict.witness
             elif verdict.status == INFEASIBLE:

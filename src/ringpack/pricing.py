@@ -8,8 +8,8 @@ count vectors with a fractional area bound, classifying partial vectors
 through the shared prefilter/greedy/exact pipeline.
 
 Outcomes are deliberately three-valued.  A found column with reduced cost
-below -tol is returned even when the optimality search was truncated; a
-completed search with bound above -tol is a proof of LP optimality; and a
+below -ZERO_TOL is returned even when the optimality search was truncated; a
+completed search with bound above -ZERO_TOL is a proof of LP optimality; and a
 truncated or unverifiable search yields only a safe lower bound z on the
 minimum reduced cost, which still turns into a Farley-style dual bound
 ceil(nu / (1 - z)).
@@ -29,6 +29,7 @@ from .patterns import (
     rect_caps,
     rect_container,
 )
+from .simplex import ZERO_TOL
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -78,7 +79,7 @@ def _density_order(instance: Instance, lam, caps):
     return [t for _, t in order]
 
 
-def _greedy_phase(instance, lam, caps, order, tolerance):
+def _greedy_phase(instance, lam, caps, order):
     """Grow a pattern one circle at a time in density order."""
     from .geometry import greedy_pack
 
@@ -93,7 +94,7 @@ def _greedy_phase(instance, lam, caps, order, tolerance):
                 for s, c in enumerate(counts)
                 if c
             ]
-            verdict = greedy_pack(box, multiset, tolerance)
+            verdict = greedy_pack(box, multiset)
             if verdict.status == FEASIBLE:
                 witness = verdict.witness
             else:
@@ -109,13 +110,13 @@ def price_rectangular(
     lam,
     limit: float = 10.0,
     budget: float = 300.0,
-    tolerance: float = 1e-9,
     cache: dict | None = None,
 ) -> PricingResult:
     """Best rectangle pattern under prices `lam`.  `budget` (virtual
     seconds) covers this call's branch and bound nodes plus its exact
     searches; `limit` caps each exact search.  The defaults are the paper
-    profile's."""
+    profile's.  `cache` memoizes settled verdicts across calls (see
+    classify_counts)."""
     caps = rect_caps(instance)
     order = _density_order(instance, lam, caps)
     if not order:
@@ -136,10 +137,10 @@ def price_rectangular(
 
     stage = Budget(budget, limit)
 
-    best = _greedy_phase(instance, lam, caps, order, tolerance)
+    best = _greedy_phase(instance, lam, caps, order)
     if best is not None:
         rc = reduced_cost(best[0], lam)
-        if rc < -tolerance:
+        if rc < -ZERO_TOL:
             return ImprovingColumn(best[0], rc, best[1])
 
     best_value = 0.0
@@ -165,8 +166,7 @@ def price_rectangular(
         stage.charge(1)
         if fresh:
             verdict = classify_counts(
-                instance, box, counts, stage, tolerance,
-                cache=cache, cache_key=("rect", counts),
+                instance, box, counts, stage, cache=cache, cache_key=counts
             )
             if verdict.status == INFEASIBLE:
                 continue
@@ -196,12 +196,12 @@ def price_rectangular(
 
     if best_pattern is not None:
         rc = 1.0 - best_value
-        if rc < -tolerance:
+        if rc < -ZERO_TOL:
             return ImprovingColumn(best_pattern, rc, best_witness)
 
     # valid upper bound on the best lam-weighted packable pattern: explored
     # optima, optimistic value of unverifiable subtrees, unexplored frontier
     attained = max(best_value, uncovered, frontier)
-    if attained <= 1.0 + tolerance:
+    if attained <= 1.0 + ZERO_TOL:
         return NoImprovement(proof=True)
     return BoundOnly(1.0 - attained)

@@ -26,6 +26,9 @@ UNBOUNDED = "Unbounded"
 REFACTOR_EVERY = 50
 DEGENERATE_STREAK = 60
 KKT_REL = 1e-7
+# pivot and zero threshold of the simplex, and of every caller's test on
+# reduced costs and LP values: anything within it of zero counts as zero
+ZERO_TOL = 1e-9
 
 
 class NumericalFailure(RuntimeError):
@@ -123,8 +126,8 @@ class LinearProgram:
             lines.append("fixed: " + " ".join(f"x{j}" for j in sorted(self.fixed)))
         return "\n".join(lines) + "\n"
 
-    def solve(self, tolerance: float = 1e-9) -> LpResult:
-        return solve_lp(self, tolerance)
+    def solve(self) -> LpResult:
+        return solve_lp(self)
 
 
 def _dense(lp: LinearProgram):
@@ -158,11 +161,10 @@ def _dense(lp: LinearProgram):
 class _Pivoter:
     """One simplex run over the equality system; explicit basis inverse."""
 
-    def __init__(self, E, d, tolerance):
+    def __init__(self, E, d):
         self.E = E
         self.d = d
         self.m = E.shape[0]
-        self.tol = tolerance
         self.basis: list[int] = []
         self.binv: np.ndarray | None = None
         self.pivots_since_refactor = 0
@@ -209,13 +211,14 @@ class _Pivoter:
         in phase 2).
         """
         n_all = self.E.shape[1]
+        tol = ZERO_TOL
         degenerate_run = 0
         bland = bland_from_start
         iteration_cap = 20000 + 200 * n_all
         for _ in range(iteration_cap):
             y = cost[self.basis] @ self.binv
             rc = cost - y @ self.E
-            candidates = np.where(allowed & (rc < -self.tol))[0]
+            candidates = np.where(allowed & (rc < -tol))[0]
             if candidates.size == 0:
                 return "optimal"
             if bland:
@@ -230,7 +233,7 @@ class _Pivoter:
             leaving_pos = int(np.argmin(ratios))
             if not np.isfinite(ratios[leaving_pos]):
                 return "unbounded"
-            if ratios[leaving_pos] <= self.tol:
+            if ratios[leaving_pos] <= tol:
                 degenerate_run += 1
                 if degenerate_run >= DEGENERATE_STREAK:
                     bland = True
@@ -245,11 +248,11 @@ class _Pivoter:
         return "cycling"
 
 
-def _attempt(lp: LinearProgram, tolerance: float, bland: bool, use_warm: bool):
+def _attempt(lp: LinearProgram, bland: bool, use_warm: bool):
     active, E, d, cost, flip = _dense(lp)
     m, n_total = E.shape
     n = len(active)
-    piv = _Pivoter(E, d, tolerance)
+    piv = _Pivoter(E, d)
 
     warm_ok = False
     if use_warm and lp._basis is not None and len(lp._basis) == m:
@@ -278,7 +281,7 @@ def _attempt(lp: LinearProgram, tolerance: float, bland: bool, use_warm: bool):
     if not warm_ok:
         # phase 1 with one artificial per row
         E1 = np.hstack([E, np.eye(m)])
-        piv = _Pivoter(E1, d, tolerance)
+        piv = _Pivoter(E1, d)
         piv.set_basis(list(range(art_lo, art_lo + m)))
         cost1 = np.zeros(n_total + m)
         cost1[art_lo:] = 1.0
@@ -340,13 +343,13 @@ def _attempt(lp: LinearProgram, tolerance: float, bland: bool, use_warm: bool):
 
     primal = {j: 0.0 for j in range(lp.column_count)}
     for pos, j in enumerate(active):
-        primal[j] = float(x[pos]) if abs(x[pos]) > tolerance else max(0.0, float(x[pos]))
-        if abs(primal[j]) < tolerance:
+        primal[j] = float(x[pos]) if abs(x[pos]) > ZERO_TOL else max(0.0, float(x[pos]))
+        if abs(primal[j]) < ZERO_TOL:
             primal[j] = 0.0
     duals = {}
     for i in range(m):
         value = float(y[i] * flip[i])
-        duals[i] = value if abs(value) > tolerance else 0.0
+        duals[i] = value if abs(value) > ZERO_TOL else 0.0
 
     tags: list[tuple[str, int]] = []
     for b in piv.basis:
@@ -360,7 +363,7 @@ def _attempt(lp: LinearProgram, tolerance: float, bland: bool, use_warm: bool):
     return LpResult(OPTIMAL, primal, duals, obj)
 
 
-def solve_lp(lp: LinearProgram, tolerance: float = 1e-9) -> LpResult:
+def solve_lp(lp: LinearProgram) -> LpResult:
     """Solve to proven optimality, infeasibility, or unboundedness.
 
     Tries a warm start from the stored basis, then a cold two-phase run,
@@ -369,13 +372,13 @@ def solve_lp(lp: LinearProgram, tolerance: float = 1e-9) -> LpResult:
     """
     if lp.row_count == 0:
         return LpResult(OPTIMAL, {j: 0.0 for j in range(lp.column_count)}, {}, 0.0)
-    result = _attempt(lp, tolerance, bland=False, use_warm=True)
+    result = _attempt(lp, bland=False, use_warm=True)
     if result is None:
         lp._basis = None
-        result = _attempt(lp, tolerance, bland=False, use_warm=False)
+        result = _attempt(lp, bland=False, use_warm=False)
     if result is None:
         lp._basis = None
-        result = _attempt(lp, tolerance, bland=True, use_warm=False)
+        result = _attempt(lp, bland=True, use_warm=False)
     if result is None:
         raise NumericalFailure("simplex failed the optimality audit")
     return result

@@ -52,6 +52,7 @@ from .pricing import (
 )
 from .simplex import INFEASIBLE as LP_INFEASIBLE
 from .simplex import OPTIMAL as LP_OPTIMAL
+from .simplex import ZERO_TOL
 
 
 class InconsistentMultiset(ValueError):
@@ -71,11 +72,8 @@ class SolveConfig:
     verification_budget: float = 2400.0
     pricing_limit: float = 300.0
     ip_node_limit: int = 200_000
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
         for f in fields(self):
             check_effort(f.name, getattr(self, f.name))
 
@@ -125,7 +123,6 @@ def price_and_verify_root(
     instance: Instance,
     sets: PatternSets,
     config: SolveConfig = SolveConfig(),
-    cache: dict | None = None,
 ) -> RootResult:
     """Column generation at the root with verification woven in.
 
@@ -138,11 +135,11 @@ def price_and_verify_root(
     are all forced out, which keeps the column pool honest but invalidates
     LP-based dual bounds from that point on.
     """
-    cache = {} if cache is None else cache
     circulars = sorted(set(sets.feasible) | sets.unknown)
     model = build_master(instance, circulars)
 
     verify_budget = Budget(config.verification_budget, config.verification_limit)
+    pricing_cache: dict = {}  # settled rectangle verdicts, kept across pricing calls
 
     unknown = set(sets.unknown)
     tested: set[CircularPattern] = set()  # verified without a verdict
@@ -160,7 +157,7 @@ def price_and_verify_root(
     pricing_calls = 0
     mass_fixed = 0
 
-    value = master_mod.lp_relax_value(model, config.tolerance)
+    value = master_mod.lp_relax_value(model)
 
     while True:
         # (a) pricing until proven optimal for this LP or budget-truncated
@@ -172,8 +169,7 @@ def price_and_verify_root(
                 lam,
                 limit=config.enumeration_limit,
                 budget=config.pricing_limit,
-                tolerance=config.tolerance,
-                cache=cache,
+                cache=pricing_cache,
             )
             if isinstance(outcome, ImprovingColumn):
                 if outcome.pattern in model.rect_cols:
@@ -182,7 +178,7 @@ def price_and_verify_root(
                 columns_priced += 1
                 master_mod.add_rect_column(model, outcome.pattern)
                 rect_witnesses.setdefault(outcome.pattern, outcome.witness)
-                value = master_mod.lp_relax_value(model, config.tolerance)
+                value = master_mod.lp_relax_value(model)
             elif isinstance(outcome, NoImprovement):
                 lp_converged = outcome.proof
                 if not outcome.proof:
@@ -199,9 +195,9 @@ def price_and_verify_root(
 
         # (b) verify the unknown pattern the LP relies on most
         values = master_mod.pattern_values(model)
-        pending = [p for p in unknown - tested if values[p] > config.tolerance]
+        pending = [p for p in unknown - tested if values[p] > ZERO_TOL]
         if not pending:
-            if any(values[p] > config.tolerance for p in unknown):
+            if any(values[p] > ZERO_TOL for p in unknown):
                 # (c) undecidable patterns still carry value: force them out
                 for p in sorted(unknown):
                     master_mod.fix_circular_zero(model, p)
@@ -209,7 +205,7 @@ def price_and_verify_root(
                 unknown.clear()
                 dual_valid = False
                 lp_converged = False
-                value = master_mod.lp_relax_value(model, config.tolerance)
+                value = master_mod.lp_relax_value(model)
                 continue
             break
         pattern = min(pending, key=lambda p: (-values[p], p))
@@ -219,9 +215,6 @@ def price_and_verify_root(
             hole_container(instance, pattern.outer_type),
             pattern.counts,
             verify_budget,
-            config.tolerance,
-            cache=cache,
-            cache_key=(pattern.outer_type, pattern.counts),
         )
         if verdict.status == FEASIBLE:
             feasible[pattern] = verdict.witness
@@ -231,7 +224,7 @@ def price_and_verify_root(
             unknown.remove(pattern)
             master_mod.fix_circular_zero(model, pattern)
             lp_converged = False  # the LP changed: pricing gets another say
-            value = master_mod.lp_relax_value(model, config.tolerance)
+            value = master_mod.lp_relax_value(model)
         else:
             tested.add(pattern)
 
@@ -281,7 +274,7 @@ def solve_restricted_ip(model: MasterModel, config: SolveConfig = SolveConfig())
                 lp.add_row({col: 1.0}, float(bound))
             else:
                 lp.add_row({col: -1.0}, -float(bound))
-        res = lp.solve(config.tolerance)
+        res = lp.solve()
         if res.status == LP_INFEASIBLE:
             continue
         if res.status != LP_OPTIMAL:
@@ -464,15 +457,10 @@ def fallback_solution(instance: Instance) -> PlacedSolution:
 
 
 def solve(instance: Instance, config: SolveConfig = SolveConfig()) -> SolveReport:
-    cache: dict = {}
     sets = enumerate_patterns(
-        instance,
-        limit=config.enumeration_limit,
-        budget=config.enumeration_budget,
-        cache=cache,
-        tolerance=config.tolerance,
+        instance, limit=config.enumeration_limit, budget=config.enumeration_budget
     )
-    root = price_and_verify_root(instance, sets, config, cache)
+    root = price_and_verify_root(instance, sets, config)
 
     assign, ip_proven, ip_nodes = solve_restricted_ip(root.master, config)
     split = _ip_multisets(root.master, assign)
@@ -484,13 +472,13 @@ def solve(instance: Instance, config: SolveConfig = SolveConfig()) -> SolveRepor
             candidate = reconstruct_placements(
                 instance, rect, circ, root.rect_witnesses, root.sets.feasible
             )
-            if validate_solution(instance, candidate, config.tolerance).feasible:
+            if validate_solution(instance, candidate).feasible:
                 incumbent = candidate
         except InconsistentMultiset:
             incumbent = None
 
     fallback = fallback_solution(instance)
-    if validate_solution(instance, fallback, config.tolerance).feasible:
+    if validate_solution(instance, fallback).feasible:
         if incumbent is None or fallback.rectangle_count < incumbent.rectangle_count:
             incumbent = fallback
     if incumbent is None:

@@ -3,12 +3,14 @@
 import dataclasses
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from ringpack.cli import main
 from ringpack.model import PlacedSolution, parse_instance, parse_solution, write_solution
 from ringpack.patterns import load_patterns
+from ringpack.solver import SolveConfig
 
 from conftest import TINY3_TEXT
 
@@ -68,12 +70,12 @@ class TestSolve:
             main(["solve", str(tiny3_file), "--set", "bogus=1"])
 
     def test_bad_config_value_rejected(self, tiny3_file):
-        with pytest.raises(SystemExit):
-            main(["solve", str(tiny3_file), "--set", "tolerance=abc"])
+        with pytest.raises(SystemExit, match="bad value for pricing_limit: 'abc'"):
+            main(["solve", str(tiny3_file), "--set", "pricing_limit=abc"])
 
     def test_bad_override_shape_rejected(self, tiny3_file):
-        with pytest.raises(SystemExit):
-            main(["solve", str(tiny3_file), "--set", "tolerance"])
+        with pytest.raises(SystemExit, match="bad override 'pricing_limit'"):
+            main(["solve", str(tiny3_file), "--set", "pricing_limit"])
 
     @pytest.mark.parametrize("pair", [
         "enumeration_budget=nan",
@@ -82,9 +84,6 @@ class TestSolve:
         "verification_budget=-1",
         "pricing_limit=-inf",
         "ip_node_limit=-5",
-        "tolerance=0",
-        "tolerance=nan",
-        "tolerance=inf",
     ])
     def test_out_of_range_config_value_rejected(self, tiny3_file, tmp_path, pair):
         with pytest.raises(SystemExit, match="bad config: " + pair.split("=")[0]):
@@ -98,7 +97,7 @@ class TestSolve:
         with pytest.raises(SystemExit, match="positive and finite"):
             main(["solve", str(inst), "-o", str(tmp_path / "x.report")])
 
-    @pytest.mark.parametrize("pair", ["total_limit=1", "deterministic=0"])
+    @pytest.mark.parametrize("pair", ["total_limit=1", "deterministic=0", "tolerance=1e-9"])
     def test_removed_config_keys_rejected(self, tiny3_file, tmp_path, pair):
         with pytest.raises(SystemExit, match="unknown config key"):
             main(["solve", str(tiny3_file), "-o", str(tmp_path / "x.report"),
@@ -205,6 +204,20 @@ class TestGenerate:
         assert inst.type_count == 2
         assert "2 types" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["0", "1.5", "2", "1", "1"],
+        ["1", "1.5", "2", "1", "1"],
+        ["2", "1.5", "nan", "1", "1"],
+        ["2", "nan", "2", "1", "1"],
+        ["2", "1.5", "2", "inf", "1"],
+    ], ids=["no-types", "one-type-alpha", "nan-beta", "nan-alpha", "inf-gamma"])
+    def test_bad_parameters_are_one_line_error(self, tmp_path, argv):
+        out = tmp_path / "x.rpa"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *argv, "-o", str(out)])
+        assert str(exc.value).startswith("generate: ") and "\n" not in str(exc.value)
+        assert not out.exists()
+
 
 class TestEnumerate:
     def test_summary_and_dump_roundtrip(self, tiny3_file, tmp_path, capsys):
@@ -251,6 +264,14 @@ class TestOracle:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == sorted(lines[1:])
         assert "3 1 0" in lines
+
+
+class TestReadme:
+    def test_set_fields_match_solve_config(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        listed = re.search(r"Fields: (.*?)\.\n", readme, re.S).group(1)
+        named = set(re.findall(r"`(\w+)`", listed))
+        assert named == {f.name for f in dataclasses.fields(SolveConfig)}
 
 
 class TestNoCommand:

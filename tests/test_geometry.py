@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringpack.geometry import (
+    BOX_FLOOR,
     FEASIBLE,
     INFEASIBLE,
     THREE_IN_DISK,
+    TOLERANCE,
     UNKNOWN,
     Disk,
     Rect,
@@ -37,6 +39,39 @@ class TestExpandMultiset:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             expand_multiset([(0.5, 0)])
+
+
+class TestNonFiniteSizes:
+    """A NaN or infinite size used to pass every constraint (a NaN term
+    breaches nothing) and came back Feasible with a non-finite witness."""
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_radius_refused(self, r):
+        with pytest.raises(ValueError, match="positive and finite"):
+            expand_multiset([(r, 1)])
+        with pytest.raises(ValueError, match="positive and finite"):
+            verify_exact(Disk(1.0), [(r, 2)], node_limit=50)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_disk_refused(self, radius):
+        with pytest.raises(ValueError, match="disk radius"):
+            verify_exact(Disk(radius), [(0.3, 2)], node_limit=50)
+
+    def test_zero_disk_allowed(self):
+        # the hole of a ring with r = 0 holds nothing
+        assert verify_exact(Disk(0.0), [(0.3, 1)]).status == INFEASIBLE
+
+    @pytest.mark.parametrize("sides", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
+    def test_rect_refused(self, sides):
+        with pytest.raises(ValueError, match="rectangle sides"):
+            verify_exact(Rect(*sides), [(0.3, 3)], node_limit=50)
+
+
+def test_box_floor_below_tolerance():
+    # verify_exact abandons a node once every box is thinner than
+    # BOX_FLOOR; its Infeasible stays a proof because the midpoint of boxes
+    # that thin is within the band of any exact placement they contain
+    assert 0.0 < BOX_FLOOR < TOLERANCE
 
 
 class TestCheckPlacements:
@@ -239,12 +274,6 @@ class TestVerifyExactBehavior:
         with pytest.raises(ValueError):
             verify_exact(Disk(2.0), [(0.84, 4)], node_limit=-1)
         with pytest.raises(ValueError):
-            verify_exact(Disk(2.0), [(0.84, 4)], tolerance=0.0)
-        with pytest.raises(ValueError):
-            verify_exact(Disk(2.0), [(0.84, 4)], tolerance=-1e-9)
-        with pytest.raises(ValueError):
-            verify_exact(Disk(1.0), [(0.6, 2)], tolerance=math.nan)
-        with pytest.raises(ValueError):
             verify_exact(Disk(1.0), [(0.6, 2)], node_limit=math.nan)
 
     @given(
@@ -281,8 +310,8 @@ class TestVerdictShape:
 # Kernel equivalence gate.  Each case of kernel_cases.json was recorded from
 # the search as of commit 0d3e182, which re-tested every box and every pair
 # at every node: verify_exact(container, multiset, node_limit,
-# order_constraints=...) and greedy_pack(container, multiset) at the default
-# tolerance, with repr() of each witness coordinate.  The cases cover disk
+# order_constraints=...) and greedy_pack(container, multiset) in the 1e-9
+# band (TOLERANCE), with repr() of each witness coordinate.  The cases cover disk
 # and rectangle containers, k = 1 to 9, radii at and just past the two-,
 # three- and four-in-disk and 2 x 2 grid thresholds, order constraints off,
 # node limit 0, and node-limited Unknowns long enough to run the repair at

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import make_instance
 from ringpack.geometry import (
     FEASIBLE,
+    INFEASIBLE,
     NODES_PER_SECOND,
+    UNKNOWN,
     check_placements,
     expand_multiset,
 )
@@ -20,6 +22,7 @@ from ringpack.patterns import (
     RectangularPattern,
     candidate_space,
     circular_caps,
+    classify_counts,
     counts_multiset,
     dominates,
     dump_patterns,
@@ -28,6 +31,7 @@ from ringpack.patterns import (
     hole_container,
     load_patterns,
     rect_caps,
+    rect_container,
     witness_slots,
 )
 
@@ -194,14 +198,18 @@ class TestBudgets:
         assert set(lean.feasible) <= set(rich.feasible)
         assert set(rich.unknown) <= set(lean.unknown)
 
-    def test_warm_cache_resolves_without_budget(self, tiny3):
-        cache = {}
-        first = enumerate_patterns(tiny3, cache=cache, filter_result=False)
-        assert first.unknown == set()
-        warm = enumerate_patterns(tiny3, budget=0.0, cache=cache, filter_result=False)
-        assert warm.unknown == set()
-        assert set(warm.feasible) == set(first.feasible)
-        assert warm.infeasible == first.infeasible
+    def test_warm_cache_answers_without_budget(self, tiny3):
+        # (0, 1, 1) in the rectangle needs an exact search: with no budget
+        # and no cache it stays Unknown
+        box, counts, cache = rect_container(tiny3), (0, 1, 1), {}
+        starved = classify_counts(tiny3, box, counts, Budget(0.0, 0.0))
+        assert starved.status == UNKNOWN
+        first = classify_counts(tiny3, box, counts, Budget(math.inf, math.inf),
+                                cache=cache, cache_key=counts)
+        assert first.status == INFEASIBLE and first.nodes > 0
+        warm = classify_counts(tiny3, box, counts, Budget(0.0, 0.0),
+                               cache=cache, cache_key=counts)
+        assert warm is first
 
     # the seconds-to-nodes product rounds up to 5.0 one ulp below 5 nodes
     # and down to 29.999999999999996 at exactly 30

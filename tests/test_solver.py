@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringpack.cli import format_report
 from ringpack.geometry import UNKNOWN, verify_exact
 from ringpack.model import (
     generate_instance,
@@ -220,6 +221,19 @@ class TestRestrictedIP:
         assert proven
         rect_ids = set(root.master.rect_cols.values())
         assert sum(v for c, v in assign.items() if c in rect_ids) == 2
+
+    @pytest.mark.parametrize("limit, proven", [(0, False), (1, True)])
+    def test_node_cap(self, limit, proven):
+        # `generate 4 1.5 2 1 9`: one IP node proves the optimum; with none,
+        # the incumbent is the single-chain fallback, optimal here too
+        inst = generate_instance(4, 1.5, 2.0, 1.0, 9)
+        report = solve(inst, SolveConfig(ip_node_limit=limit))
+        assert (report.primal_bound, report.dual_bound) == (6, 6)
+        assert report.ip_proven is proven
+        assert report.statistics["ip_nodes"] == limit
+        assert validate_solution(inst, report.incumbent).feasible
+        assert volume_lower_bound(inst) <= report.dual_bound <= report.primal_bound
+        assert f"ip-proven {int(proven)}\n" in format_report(report)
 
 
 class TestReconstruction:
