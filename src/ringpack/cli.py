@@ -1,8 +1,6 @@
 """Command-line driver.
 
-Subcommands: generate, enumerate, solve, validate, render.  A sixth
-subcommand `oracle` runs the brute-force layer; it is deliberately left
-out of the help text because it refuses anything beyond desk scale.
+Subcommands: generate, enumerate, solve, validate, render.
 
 Exit codes for `solve`: 0 proven optimal, 2 feasible but gap open,
 3 bounds only.  `validate` exits 0 on a clean solution and 1 otherwise.
@@ -23,11 +21,11 @@ from .model import (
     generate_instance,
     parse_instance,
     parse_solution,
+    report_block,
     validate_solution,
     write_instance,
     write_solution,
 )
-from .oracle import brute_force_opt, enumerate_packable_rectangles, solve_dw_lp
 from .patterns import check_effort, dump_patterns, enumerate_patterns
 from .render import render_svg
 from .solver import DESK_CONFIG, SolveConfig, SolveReport, solve
@@ -38,8 +36,6 @@ EXIT_FEASIBLE = 2
 EXIT_BOUNDS_ONLY = 3
 
 PROFILES = {"desk": DESK_CONFIG, "paper": SolveConfig()}
-
-PUBLIC_COMMANDS = "{generate,enumerate,solve,validate,render}"
 
 
 def _parse(parse, text: str, path: str, **kwargs):
@@ -110,20 +106,6 @@ def format_report(report: SolveReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _instance_block(text: str) -> str | None:
-    lines = text.splitlines()
-    try:
-        start = next(i for i, ln in enumerate(lines) if ln.strip() == "instance")
-    except StopIteration:
-        return None
-    block = []
-    for ln in lines[start + 1 :]:
-        if ln.strip() == "end":
-            break
-        block.append(ln)
-    return "\n".join(block) + "\n"
-
-
 def _cmd_generate(args) -> int:
     try:
         inst = generate_instance(args.T, args.alpha, args.beta, args.gamma, args.seed)
@@ -184,7 +166,7 @@ def _cmd_render(args) -> int:
     if args.instance:
         inst = _load_instance(args.instance)
     else:
-        block = _instance_block(text)
+        block = report_block(text, "instance")
         if block is None:
             raise SystemExit(
                 "solution file has no embedded instance; pass --instance"
@@ -193,18 +175,6 @@ def _cmd_render(args) -> int:
     solution = _parse(parse_solution, text, args.solution)
     Path(args.out).write_text(render_svg(inst, solution))
     print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    inst = _load_instance(args.instance)
-    vectors = enumerate_packable_rectangles(inst)
-    lp = solve_dw_lp(inst, vectors=vectors)
-    opt = brute_force_opt(inst, vectors=vectors)
-    print(f"packable={len(vectors)} dw_lp={lp:.12g} opt={opt}")
-    if args.list:
-        for vec in sorted(vectors):
-            print(" ".join(str(c) for c in vec))
     return 0
 
 
@@ -223,7 +193,7 @@ def main(argv=None) -> int:
         prog="ringpack",
         description="Exact ring packing by pattern-based column generation.",
     )
-    subs = parser.add_subparsers(dest="command", metavar=PUBLIC_COMMANDS)
+    subs = parser.add_subparsers(dest="command")
 
     gen = subs.add_parser("generate", help="write a seeded random instance")
     gen.add_argument("T", type=int, help="number of ring types")
@@ -260,12 +230,6 @@ def main(argv=None) -> int:
     ren.add_argument("--instance", help="instance file (needed unless the "
                      "solution is a report with an embedded instance)")
     ren.set_defaults(func=_cmd_render)
-
-    orc = subs.add_parser("oracle")  # undocumented: desk-scale ground truth
-    orc.add_argument("instance")
-    orc.add_argument("--list", action="store_true",
-                     help="also print every packable count vector")
-    orc.set_defaults(func=_cmd_oracle)
 
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):

@@ -10,7 +10,7 @@ rectangular column exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Instance
 from .patterns import CircularPattern, RectangularPattern
@@ -19,14 +19,6 @@ from .simplex import LinearProgram, LpResult, UnknownColumn, solve_lp
 
 class DuplicatePattern(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class DualVector:
-    """Row prices from the last solve; `recursion` is the pricing vector."""
-
-    demand: tuple[float, ...]
-    recursion: tuple[float, ...]
 
 
 @dataclass
@@ -38,7 +30,6 @@ class MasterModel:
     artificial_cols: tuple[int, ...]
     demand_rows: tuple[int, ...]
     recursion_rows: tuple[int, ...]
-    fixed: set[CircularPattern] = field(default_factory=set)
     last_result: LpResult | None = None
 
 
@@ -96,14 +87,12 @@ def lp_relax_value(model: MasterModel) -> float:
     return model.last_result.objective
 
 
-def duals(model: MasterModel) -> DualVector:
+def duals(model: MasterModel) -> tuple[float, ...]:
+    """Recursion-row prices at the last solve: the pricing vector."""
     if model.last_result is None:
         lp_relax_value(model)
     res = model.last_result
-    return DualVector(
-        demand=tuple(res.duals.get(r, 0.0) for r in model.demand_rows),
-        recursion=tuple(res.duals.get(r, 0.0) for r in model.recursion_rows),
-    )
+    return tuple(res.duals.get(r, 0.0) for r in model.recursion_rows)
 
 
 def add_rect_column(model: MasterModel, pattern: RectangularPattern) -> int:
@@ -126,7 +115,6 @@ def fix_circular_zero(model: MasterModel, pattern: CircularPattern) -> None:
     if pattern not in model.circular_cols:
         raise UnknownColumn(pattern)
     model.lp.fix_column_zero(model.circular_cols[pattern])
-    model.fixed.add(pattern)
     model.last_result = None
 
 
@@ -136,52 +124,3 @@ def pattern_values(model: MasterModel) -> dict[CircularPattern, float]:
         lp_relax_value(model)
     primal = model.last_result.primal
     return {pat: primal[col] for pat, col in model.circular_cols.items()}
-
-
-def rect_values(model: MasterModel) -> dict[RectangularPattern, float]:
-    if model.last_result is None:
-        lp_relax_value(model)
-    primal = model.last_result.primal
-    return {pat: primal[col] for pat, col in model.rect_cols.items()}
-
-
-def artificial_mass(model: MasterModel) -> float:
-    """Total artificial usage at the last solve; positive means demand is
-    not yet coverable by real columns."""
-    if model.last_result is None:
-        lp_relax_value(model)
-    primal = model.last_result.primal
-    return sum(primal[c] for c in model.artificial_cols)
-
-
-def rebuild(model: MasterModel) -> MasterModel:
-    """Fresh model with the same columns, for coefficient audits."""
-    fresh = build_master(model.instance, model.circular_cols, model.rect_cols)
-    for pattern in model.fixed:
-        fix_circular_zero(fresh, pattern)
-    return fresh
-
-
-def coefficient_table(model: MasterModel) -> dict[tuple[str, int], dict[object, float]]:
-    """Row-wise coefficients keyed by pattern (artificials keyed by index).
-
-    The table is reconstruction-order independent, so an incrementally grown
-    model and a from-scratch rebuild must produce identical tables.
-    """
-    col_key: dict[int, object] = {}
-    for pat, col in model.circular_cols.items():
-        col_key[col] = ("circ", pat)
-    for pat, col in model.rect_cols.items():
-        col_key[col] = ("rect", pat)
-    for idx, col in enumerate(model.artificial_cols):
-        col_key[col] = ("art", idx)
-    table: dict[tuple[str, int], dict[object, float]] = {}
-    for t, row in enumerate(model.demand_rows):
-        table[("demand", t)] = {
-            col_key[j]: a for j, a in sorted(model.lp.row_coefs[row].items())
-        }
-    for s, row in enumerate(model.recursion_rows):
-        table[("recursion", s)] = {
-            col_key[j]: a for j, a in sorted(model.lp.row_coefs[row].items())
-        }
-    return table

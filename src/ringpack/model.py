@@ -9,6 +9,7 @@ generator, the geometric solution validator, and the volume lower bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -88,9 +89,10 @@ class Instance:
             raise InvariantViolation("types must be sorted by outer radius")
         lim = min(self.width, self.height)
         for i, t in enumerate(self.types):
-            if t.outer_radius > lim + TOLERANCE:
+            if 2 * t.outer_radius > lim + TOLERANCE:
                 raise InvariantViolation(
-                    f"type {i}: outer radius {t.outer_radius} exceeds min(W,H)={lim}"
+                    f"type {i}: outer diameter {2 * t.outer_radius} exceeds "
+                    f"min(W,H)={lim}"
                 )
         if self.ring_count < 1:
             raise InvariantViolation("total demand must be at least 1")
@@ -387,21 +389,22 @@ def write_solution(solution: PlacedSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(text: str) -> PlacedSolution:
-    """Parse a solution document; also accepts a solve report containing one.
-
-    Inside a report the solution block starts at a line reading `solution` and
-    ends at `end`.
-    """
+def report_block(text: str, name: str) -> str | None:
+    """The lines of a solve report between the first line reading `name`
+    and the next line reading `end`; None when no line reads `name`."""
     lines = text.splitlines()
-    if any(line.strip() == "solution" for line in lines):
-        start = next(i for i, line in enumerate(lines) if line.strip() == "solution")
-        block = []
-        for line in lines[start + 1 :]:
-            if line.strip() == "end":
-                break
-            block.append(line)
-        lines = block
+    starts = [i for i, line in enumerate(lines) if line.strip() == name]
+    if not starts:
+        return None
+    block = lines[starts[0] + 1 :]
+    return "\n".join(itertools.takewhile(lambda ln: ln.strip() != "end", block)) + "\n"
+
+
+def parse_solution(text: str) -> PlacedSolution:
+    """Parse a solution document; also accepts a solve report containing one
+    (its `solution` block, see report_block)."""
+    block = report_block(text, "solution")
+    lines = (text if block is None else block).splitlines()
     rect_count = None
     ring_count = None
     rings: list[PlacedRing] = []

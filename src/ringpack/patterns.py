@@ -33,12 +33,10 @@ from ringpack.geometry import (
     Rect,
     Verdict,
     analytic_prefilter,
-    check_placements,
-    expand_multiset,
     greedy_pack,
     verify_exact,
 )
-from ringpack.model import Instance, InvariantViolation, MalformedInput
+from ringpack.model import Instance
 
 
 @dataclass(frozen=True, order=True)
@@ -80,15 +78,6 @@ class PatternSets:
     feasible: dict[CircularPattern, Witness] = field(default_factory=dict)
     infeasible: set[CircularPattern] = field(default_factory=set)
     unknown: set[CircularPattern] = field(default_factory=set)
-
-    def status_of(self, pattern: CircularPattern) -> str | None:
-        if pattern in self.feasible:
-            return FEASIBLE
-        if pattern in self.infeasible:
-            return INFEASIBLE
-        if pattern in self.unknown:
-            return UNKNOWN
-        return None
 
 
 def dominates(p: CircularPattern, q: CircularPattern) -> bool:
@@ -326,50 +315,3 @@ def dump_patterns(instance: Instance, sets: PatternSets) -> str:
                 parts.append(f"{y:.12g}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def load_patterns(text: str, instance: Instance) -> PatternSets:
-    """Inverse of dump_patterns; feasible witnesses are re-checked.
-
-    A feasible line without a valid witness is demoted to unknown rather
-    than trusted, keeping the witnessed-feasible invariant.
-    """
-    sets = PatternSets()
-    T = instance.type_count
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] != "C" or len(tokens) < T + 3:
-            raise MalformedInput(f"line {lineno}: expected `C t P_1 .. P_{T} status`")
-        try:
-            t = int(tokens[1])
-            counts = tuple(int(x) for x in tokens[2 : 2 + T])
-            status = tokens[2 + T]
-            rest = [float(x) for x in tokens[3 + T :]]
-        except ValueError:
-            raise MalformedInput(f"line {lineno}: bad token") from None
-        if not (0 <= t < T):
-            raise InvariantViolation(f"line {lineno}: type {t} out of range")
-        pat = CircularPattern(t, counts)
-        if status == "Infeasible":
-            sets.infeasible.add(pat)
-            continue
-        if status == "Unknown":
-            sets.unknown.add(pat)
-            continue
-        if status != "Feasible":
-            raise MalformedInput(f"line {lineno}: unknown status {status!r}")
-        if len(rest) % 2:
-            raise MalformedInput(f"line {lineno}: odd witness coordinate count")
-        witness = tuple((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
-        ms = counts_multiset(instance, counts)
-        radii = expand_multiset(ms) if ms else ()
-        if len(witness) == len(radii) and check_placements(
-            hole_container(instance, t), radii, witness
-        ):
-            sets.feasible[pat] = witness
-        else:
-            sets.unknown.add(pat)
-    return sets

@@ -58,7 +58,6 @@ class LinearProgram:
     def __init__(self) -> None:
         self.obj: list[float] = []
         self.col_rows: list[dict[int, float]] = []
-        self.row_coefs: list[dict[int, float]] = []
         self.rhs: list[float] = []
         self.fixed: set[int] = set()
         self._basis: list[tuple[str, int]] | None = None
@@ -76,7 +75,6 @@ class LinearProgram:
             if not (0 <= j < self.column_count):
                 raise UnknownColumn(j)
         row_id = len(self.rhs)
-        self.row_coefs.append(dict(coefs))
         self.rhs.append(float(rhs))
         for j, a in coefs.items():
             if a:
@@ -92,8 +90,6 @@ class LinearProgram:
         col_id = len(self.obj)
         self.obj.append(float(objective))
         self.col_rows.append({i: float(a) for i, a in coefs.items() if a})
-        for i, a in self.col_rows[col_id].items():
-            self.row_coefs[i][col_id] = a
         return col_id
 
     def fix_column_zero(self, col_id: int) -> None:
@@ -107,24 +103,10 @@ class LinearProgram:
         clone = LinearProgram()
         clone.obj = list(self.obj)
         clone.col_rows = [dict(d) for d in self.col_rows]
-        clone.row_coefs = [dict(d) for d in self.row_coefs]
         clone.rhs = list(self.rhs)
         clone.fixed = set(self.fixed)
         clone._basis = list(self._basis) if self._basis else None
         return clone
-
-    def dump(self) -> str:
-        lines = ["min " + " + ".join(
-            f"{c:g} x{j}" for j, c in enumerate(self.obj) if j not in self.fixed
-        )]
-        for i, (coefs, b) in enumerate(zip(self.row_coefs, self.rhs)):
-            terms = " + ".join(
-                f"{a:g} x{j}" for j, a in sorted(coefs.items()) if j not in self.fixed
-            )
-            lines.append(f"r{i}: {terms or '0'} >= {b:g}")
-        if self.fixed:
-            lines.append("fixed: " + " ".join(f"x{j}" for j in sorted(self.fixed)))
-        return "\n".join(lines) + "\n"
 
     def solve(self) -> LpResult:
         return solve_lp(self)

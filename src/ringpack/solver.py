@@ -44,7 +44,6 @@ from .patterns import (
 )
 from .pricing import (
     BoundOnly,
-    DegenerateDenominator,
     ImprovingColumn,
     NoImprovement,
     farley_bound,
@@ -126,8 +125,9 @@ def price_and_verify_root(
 ) -> RootResult:
     """Column generation at the root with verification woven in.
 
-    Pricing runs until proven optimal, out of improvements, or out of
-    budget; a truncated pricing pass leaves a Farley bound behind and is
+    Pricing runs until proven optimal, out of improvements, out of budget,
+    or back at a column the LP already holds; a truncated pricing pass
+    leaves a Farley bound behind, and a pass that ends without a proof is
     never re-entered.  Whenever the LP leans on an unknown pattern, that
     pattern is verified: packable ones are promoted, impossible ones are
     fixed to zero and pricing resumes, undecidable ones are flagged.  If
@@ -162,34 +162,28 @@ def price_and_verify_root(
     while True:
         # (a) pricing until proven optimal for this LP or budget-truncated
         while not pricing_dead and not lp_converged:
-            lam = master_mod.duals(model).recursion
             pricing_calls += 1
             outcome = price_rectangular(
                 instance,
-                lam,
+                master_mod.duals(model),
                 limit=config.enumeration_limit,
                 budget=config.pricing_limit,
                 cache=pricing_cache,
             )
-            if isinstance(outcome, ImprovingColumn):
-                if outcome.pattern in model.rect_cols:
-                    lp_converged = True  # nothing new to say: LP has it already
-                    break
+            if (isinstance(outcome, ImprovingColumn)
+                    and outcome.pattern not in model.rect_cols):
                 columns_priced += 1
                 master_mod.add_rect_column(model, outcome.pattern)
-                rect_witnesses.setdefault(outcome.pattern, outcome.witness)
+                rect_witnesses[outcome.pattern] = outcome.witness
                 value = master_mod.lp_relax_value(model)
-            elif isinstance(outcome, NoImprovement):
-                lp_converged = outcome.proof
-                if not outcome.proof:
-                    pricing_dead = True
-                break
-            else:
-                try:
-                    farleys.append(farley_bound(value, outcome.z_pricing))
-                except DegenerateDenominator:
-                    pass
-                pricing_dead = True
+                continue
+            if isinstance(outcome, BoundOnly):
+                farleys.append(farley_bound(value, outcome.z_pricing))
+            # only a completed search proves this LP optimal; a column the LP
+            # already holds may come from pricing's greedy phase alone, so
+            # like a truncated search it ends pricing without a proof
+            lp_converged = isinstance(outcome, NoImprovement) and outcome.proof
+            pricing_dead = not lp_converged
         if lp_converged and dual_valid:
             best_dual = max(best_dual, _ceil_value(value))
 

@@ -12,7 +12,7 @@ import pytest
 
 from ringpack.cli import main
 from ringpack.geometry import Disk, verify_exact
-from ringpack.master import build_master, coefficient_table
+from ringpack.master import build_master
 from ringpack.model import generate_instance, validate_solution, volume_lower_bound
 from ringpack.oracle import brute_force_opt, solve_dw_lp
 from ringpack.patterns import CircularPattern, enumerate_patterns
@@ -20,6 +20,7 @@ from ringpack.pricing import farley_bound
 from ringpack.solver import SolveConfig, price_and_verify_root, solve
 
 from conftest import TINY3_TEXT, make_instance
+from master_audit import coefficient_table
 from test_master import C, EX1, P
 from test_solver import BAD, GOOD, PLANT, plant_unknown
 

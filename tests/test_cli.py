@@ -9,7 +9,7 @@ import pytest
 
 from ringpack.cli import main
 from ringpack.model import PlacedSolution, parse_instance, parse_solution, write_solution
-from ringpack.patterns import load_patterns
+from ringpack.patterns import dump_patterns, enumerate_patterns
 from ringpack.solver import SolveConfig
 
 from conftest import TINY3_TEXT
@@ -96,6 +96,13 @@ class TestSolve:
         inst.write_text(f"{header}\n0.5 0.7 1\n")
         with pytest.raises(SystemExit, match="positive and finite"):
             main(["solve", str(inst), "-o", str(tmp_path / "x.report")])
+
+    def test_ring_wider_than_rectangle_rejected(self, tmp_path):
+        inst = tmp_path / "wide.rpa"
+        inst.write_text("4 4\n0.0 3.0 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(inst), "-o", str(tmp_path / "x.report")])
+        assert "outer diameter" in str(exc.value) and "\n" not in str(exc.value)
 
     @pytest.mark.parametrize("pair", ["total_limit=1", "deterministic=0", "tolerance=1e-9"])
     def test_removed_config_keys_rejected(self, tiny3_file, tmp_path, pair):
@@ -227,10 +234,12 @@ class TestEnumerate:
         out = capsys.readouterr().out
         match = re.fullmatch(r"feasible=(\d+) unknown=(\d+) time=\d+\.\d\ds\n", out)
         assert match
+        text = dump.read_text()
+        statuses = [line.split()[5] for line in text.splitlines()]
+        assert statuses.count("Feasible") == int(match.group(1))
+        assert statuses.count("Unknown") == int(match.group(2))
         inst = parse_instance(TINY3_TEXT)
-        sets = load_patterns(dump.read_text(), inst)
-        assert len(sets.feasible) == int(match.group(1))
-        assert len(sets.unknown) == int(match.group(2))
+        assert text == dump_patterns(inst, enumerate_patterns(inst))
 
     def test_starved_budget_reports_unknowns(self, tiny3_file, capsys):
         rc = main(["enumerate", str(tiny3_file), "--limit", "1e-7",
@@ -247,23 +256,6 @@ class TestEnumerate:
             main(["enumerate", str(tiny3_file), flag])
         assert exc.value.code == 2
         assert "seconds must be >= 0 or inf" in capsys.readouterr().err
-
-
-class TestOracle:
-    def test_runs_but_stays_out_of_help(self, tiny3_file, capsys):
-        rc = main(["oracle", str(tiny3_file)])
-        assert rc == 0
-        assert capsys.readouterr().out.strip() == "packable=12 dw_lp=1.25 opt=2"
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        assert "oracle" not in capsys.readouterr().out
-
-    def test_list_prints_vectors(self, tiny3_file, capsys):
-        rc = main(["oracle", str(tiny3_file), "--list"])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[1:] == sorted(lines[1:])
-        assert "3 1 0" in lines
 
 
 class TestReadme:

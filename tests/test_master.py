@@ -3,20 +3,17 @@ import pytest
 from ringpack.master import (
     DuplicatePattern,
     add_rect_column,
-    artificial_mass,
     build_master,
-    coefficient_table,
     duals,
     fix_circular_zero,
     lp_relax_value,
     pattern_values,
-    rebuild,
-    rect_values,
 )
 from ringpack.patterns import CircularPattern, RectangularPattern
 from ringpack.simplex import LinearProgram, UnknownColumn, solve_lp
 
 from conftest import make_instance
+from master_audit import coefficient_table, fixed_patterns, rebuild
 
 # the worked three-type example: 7x5 sheet, demands (9, 5, 2)
 EX1 = [(0.5, 0.7, 9), (1.0, 1.2, 5), (1.4, 1.8, 2)]
@@ -92,7 +89,8 @@ def test_example1_row_rhs():
 def test_example1_lp_value():
     _, model = _ex1_master()
     assert lp_relax_value(model) == pytest.approx(1.6, abs=1e-9)
-    assert artificial_mass(model) <= 1e-9
+    primal = model.last_result.primal
+    assert sum(primal[c] for c in model.artificial_cols) <= 1e-9
 
 
 def test_example1_unit_demand_matches_hand_built_lp():
@@ -134,7 +132,8 @@ def test_empty_rectangular_set_needs_safeguard():
     value = lp_relax_value(model)
     # no rectangular column can host the ring: only the artificial column
     # keeps the LP feasible, at its punitive price
-    assert artificial_mass(model) == pytest.approx(3.0, abs=1e-7)
+    artificial = sum(model.last_result.primal[c] for c in model.artificial_cols)
+    assert artificial == pytest.approx(3.0, abs=1e-7)
     assert value == pytest.approx(3.0 * (inst.ring_count + 1), abs=1e-6)
 
 
@@ -152,7 +151,7 @@ def test_duplicate_patterns_rejected():
 def test_add_rect_column_with_negative_reduced_cost_improves():
     _, model = _ex1_master()
     before = lp_relax_value(model)
-    lam = duals(model).recursion
+    lam = duals(model)
     # doubling a basic rectangular column always prices at 1 - 2 = -1
     tight = next(
         p for p in P if sum(l * c for l, c in zip(lam, p.counts)) > 1.0 - 1e-7
@@ -182,10 +181,11 @@ def test_fix_unknown_pattern_rejected():
 def test_duals_shapes_and_sign(tiny3):
     _, model = _ex1_master()
     lp_relax_value(model)
-    vec = duals(model)
-    assert len(vec.demand) == 3 and len(vec.recursion) == 3
-    assert all(l >= -1e-9 for l in vec.recursion)
-    assert all(y >= -1e-9 for y in vec.demand)
+    lam = duals(model)
+    demand = [model.last_result.duals[r] for r in model.demand_rows]
+    assert len(demand) == 3 and len(lam) == 3
+    assert all(l >= -1e-9 for l in lam)
+    assert all(y >= -1e-9 for y in demand)
 
 
 def test_more_columns_never_raise_value():
@@ -205,12 +205,13 @@ def test_incremental_matches_rebuilt():
     fresh = rebuild(model)
     assert coefficient_table(fresh) == coefficient_table(model)
     assert lp_relax_value(fresh) == pytest.approx(lp_relax_value(model), abs=1e-7)
-    assert fresh.fixed == model.fixed
+    assert fixed_patterns(fresh) == fixed_patterns(model) == {C[1]}
 
 
 def test_pattern_and_rect_values_cover_all_columns():
     _, model = _ex1_master()
     lp_relax_value(model)
     assert set(pattern_values(model)) == set(C)
-    assert set(rect_values(model)) == set(P)
+    primal = model.last_result.primal
+    assert set({p: primal[col] for p, col in model.rect_cols.items()}) == set(P)
     assert all(v >= -1e-9 for v in pattern_values(model).values())

@@ -60,6 +60,10 @@ class TestInstanceInvariants:
     def test_outer_radius_within_min_side(self):
         with pytest.raises(InvariantViolation):
             make_instance(4, 10, [(1.0, 4.5, 1)])
+        # R = 3 is below min(W, H) = 4 but a ring of diameter 6 fits nowhere
+        with pytest.raises(InvariantViolation, match="outer diameter 6.0"):
+            make_instance(4, 4, [(0.0, 3.0, 1)])
+        assert make_instance(4, 4, [(0.0, 2.0, 1)]).types[0].outer_radius == 2.0
 
     def test_needs_at_least_one_ring(self):
         with pytest.raises(InvariantViolation):
@@ -307,7 +311,7 @@ class TestVolumeLowerBound:
         assert volume_lower_bound(inst) == 1
 
     def test_exact_area_is_one(self):
-        inst = make_instance(7 * math.pi, 1.0, [(0.0, 1.0, 7)])
+        inst = make_instance(3.5 * math.pi, 2.0, [(0.0, 1.0, 7)])
         assert volume_lower_bound(inst) == 1
 
     def test_scales_with_demand(self):

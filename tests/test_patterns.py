@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import make_instance
 from ringpack.geometry import (
-    FEASIBLE,
     INFEASIBLE,
     NODES_PER_SECOND,
     UNKNOWN,
     check_placements,
     expand_multiset,
 )
-from ringpack.model import InvariantViolation, MalformedInput
 from ringpack.patterns import (
     Budget,
     CircularPattern,
@@ -29,7 +27,6 @@ from ringpack.patterns import (
     enumerate_patterns,
     filter_dominated,
     hole_container,
-    load_patterns,
     rect_caps,
     rect_container,
     witness_slots,
@@ -166,7 +163,8 @@ class TestEnumerateTiny3:
     def test_dominance_infeasible_has_verified_certificate(self, tiny3):
         sets = enumerate_patterns(tiny3, filter_result=False)
         derived = CircularPattern(2, (2, 1, 0))
-        assert sets.status_of(derived) is None  # skipped, not stored
+        # skipped, not stored
+        assert derived not in {*sets.feasible, *sets.infeasible, *sets.unknown}
         assert any(dominates(derived, q) for q in sets.infeasible)
         # so no stored certificate lies above another
         assert filter_dominated(sets.infeasible) == sets.infeasible
@@ -235,12 +233,23 @@ class TestBudgets:
 
 class TestDumpLoad:
     def test_round_trip(self, tiny3):
+        # every pattern appears once with its status, feasible ones with
+        # their witness to 12 significant digits
         sets = enumerate_patterns(tiny3, filter_result=False)
-        text = dump_patterns(tiny3, sets)
-        again = load_patterns(text, tiny3)
-        assert set(again.feasible) == set(sets.feasible)
-        assert again.infeasible == sets.infeasible
-        assert again.unknown == sets.unknown
+        status, witness = {}, {}
+        for line in dump_patterns(tiny3, sets).splitlines():
+            tokens = line.split()
+            pat = CircularPattern(int(tokens[1]), tuple(map(int, tokens[2:5])))
+            status[pat] = tokens[5]
+            witness[pat] = [float(x) for x in tokens[6:]]
+        assert status == {
+            **{p: "Feasible" for p in sets.feasible},
+            **{p: "Infeasible" for p in sets.infeasible},
+            **{p: "Unknown" for p in sets.unknown},
+        }
+        for pat, placed in sets.feasible.items():
+            flat = [c for xy in placed for c in xy]
+            assert witness[pat] == pytest.approx(flat, rel=1e-11, abs=1e-11)
 
     def test_dump_is_sorted_and_stable(self, tiny3):
         sets = enumerate_patterns(tiny3, filter_result=False)
@@ -249,27 +258,6 @@ class TestDumpLoad:
         assert a == b
         rows = [line.split()[:5] for line in a.strip().splitlines()]
         assert rows == sorted(rows, key=lambda r: (int(r[1]), [int(x) for x in r[2:5]]))
-
-    def test_feasible_line_without_witness_demoted(self, tiny3):
-        line = "C 2 2 0 0 Feasible\n"
-        sets = load_patterns(line, tiny3)
-        assert sets.feasible == {}
-        assert CircularPattern(2, (2, 0, 0)) in sets.unknown
-
-    def test_tampered_witness_demoted(self, tiny3):
-        line = "C 2 2 0 0 Feasible 0 0 0.1 0\n"
-        sets = load_patterns(line, tiny3)
-        assert sets.feasible == {}
-        sets = load_patterns("C 2 2 0 0 Feasible nan nan nan nan\n", tiny3)
-        assert sets.feasible == {}
-
-    def test_bad_line_raises(self, tiny3):
-        with pytest.raises(MalformedInput):
-            load_patterns("C 2 xx 0 0 Feasible\n", tiny3)
-        with pytest.raises(MalformedInput):
-            load_patterns("C 2 0 0 0 Sideways\n", tiny3)
-        with pytest.raises(InvariantViolation):
-            load_patterns("C 9 0 0 0 Infeasible\n", tiny3)
 
 
 class TestWitnessSlots:
@@ -353,8 +341,3 @@ class TestPatternTypes:
     def test_total(self):
         assert CircularPattern(1, (2, 1, 0)).total == 3
         assert RectangularPattern((2, 1, 0)).total == 3
-
-    def test_status_of(self, tiny3):
-        sets = enumerate_patterns(tiny3)
-        assert sets.status_of(CircularPattern(0, (0, 0, 0))) == FEASIBLE
-        assert sets.status_of(CircularPattern(9, (0, 0, 0))) is None

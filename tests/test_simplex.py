@@ -173,13 +173,3 @@ def test_copy_is_independent():
     clone.add_row({x: 1.0}, 5.0)
     assert solve_lp(lp).objective == pytest.approx(2.0, abs=1e-9)
     assert solve_lp(clone).objective == pytest.approx(5.0, abs=1e-9)
-
-
-def test_dump_mentions_rows_and_columns():
-    lp = LinearProgram()
-    x = lp.add_column(1.0)
-    lp.add_row({x: 2.0}, 3.0)
-    text = lp.dump()
-    assert "min" in text
-    assert "x0" in text
-    assert ">=" in text

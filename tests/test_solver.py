@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringpack import solver
 from ringpack.cli import format_report
 from ringpack.geometry import UNKNOWN, verify_exact
 from ringpack.model import (
@@ -24,6 +25,7 @@ from ringpack.patterns import (
     rect_container,
 )
 from ringpack.oracle import brute_force_opt
+from ringpack.pricing import ImprovingColumn
 from ringpack.solver import (
     InconsistentMultiset,
     SolveConfig,
@@ -166,6 +168,24 @@ class TestVerificationBranches:
         assert root.best_dual == 1
         assert root.root_value == pytest.approx(4 / 3)
         assert volume_lower_bound(PLANT) <= root.best_dual <= brute_force_opt(PLANT)
+
+    def test_repriced_known_column_proves_nothing(self, monkeypatch):
+        # pricing may return a column from its greedy phase without any
+        # search, so seeing one the LP already holds says nothing about the
+        # other columns: pricing stops and that LP gives no bound
+        real, outcomes = solver.price_rectangular, []
+
+        def price_once(*args, **kwargs):
+            if not outcomes:
+                outcomes.append(real(*args, **kwargs))
+            return outcomes[0]
+
+        monkeypatch.setattr(solver, "price_rectangular", price_once)
+        root = price_and_verify_root(TINY3, enumerate_patterns(TINY3), SolveConfig())
+        assert isinstance(outcomes[0], ImprovingColumn)
+        assert root.pricing_calls == 2 and root.columns_priced == 1
+        assert root.root_value > 0
+        assert root.best_dual == 0 and root.farley_bounds == []
 
 
 class TestBudgetEnforcement:
