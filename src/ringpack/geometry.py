@@ -5,7 +5,8 @@ placed inside a container (a disk or an axis-aligned rectangle)?  Three
 routes, cheapest first:
 
   analytic_prefilter  closed-form certificates (area bound, inradius bound,
-                      k <= 3 equal circles in a disk)
+                      k <= 3 equal circles in a disk, the Groemer-Oler
+                      count bound)
   greedy_pack         left-most-lowest constructive heuristic; its Infeasible
                       is "gave up", not a proof
   verify_exact        complete spatial branch and bound over center boxes
@@ -254,14 +255,46 @@ def greedy_pack(container: Container, multiset) -> Verdict:
 THREE_IN_DISK = 2.0 * math.sqrt(3.0) - 3.0
 
 
+def _count_bound(container: Container, r: float) -> float:
+    """An upper bound on how many circles of radius >= r a placement within
+    the TOLERANCE band can hold.
+
+    Groemer (Math. Z. 1960) and Oler (Acta Math. 1961): if n points lie in
+    a compact convex set K with pairwise distances >= d, then
+    n <= (2/sqrt(3)) A(K)/d^2 + P(K)/(2d) + 1, with A the area and P the
+    perimeter.  A segment of length L (A = 0, P = 2L) gives n <= L/d + 1.
+
+    Within the band, two circles of radii >= r have centers at least
+    2r - TOLERANCE apart, and each center lies in the container shrunk by
+    r and grown by TOLERANCE: a disk of radius max(rho - r, 0) + TOLERANCE,
+    or a rectangle of sides max(W - 2r, 0) + 2 TOLERANCE by
+    max(H - 2r, 0) + 2 TOLERANCE (when 2r > W, every center has
+    |x - W/2| <= TOLERANCE).  Taking d = 2r - 2 TOLERANCE only loosens the
+    bound.
+    """
+    d = 2.0 * r - 2.0 * TOLERANCE
+    if d <= 0.0:
+        return math.inf
+    if isinstance(container, Disk):
+        a = max(container.radius - r, 0.0) + TOLERANCE
+        area, perimeter = math.pi * a * a, 2.0 * math.pi * a
+    else:
+        a = max(container.width - 2.0 * r, 0.0) + 2.0 * TOLERANCE
+        b = max(container.height - 2.0 * r, 0.0) + 2.0 * TOLERANCE
+        area, perimeter = a * b, 2.0 * (a + b)
+    return 2.0 / math.sqrt(3.0) * area / (d * d) + perimeter / (2.0 * d) + 1.0
+
+
 def analytic_prefilter(container: Container, multiset) -> Verdict | None:
     """Closed-form certificates; None when no rule applies.
 
     Infeasible: total circle area above container area, a single circle
-    larger than the inradius, or two equal circles in a disk beyond the
-    half-radius threshold.  Feasible: at most one circle that fits, or two or
-    three equal circles in a disk inside the known thresholds (witnessed
-    constructively and re-checked).
+    larger than the inradius, two equal circles in a disk beyond the
+    half-radius threshold, or the count bound: for some j >= 2, the j
+    largest circles, all of radius >= r_j, outnumber _count_bound at r_j.
+    Feasible: at most one circle that fits, or two or three equal circles
+    in a disk inside the known thresholds (witnessed constructively and
+    re-checked).
     """
     radii = expand_multiset(multiset) if multiset else ()
     k = len(radii)
@@ -275,6 +308,12 @@ def analytic_prefilter(container: Container, multiset) -> Verdict | None:
     if isinstance(container, Disk) and k == 2 and equal:
         if radii[0] > container.radius / 2.0 + TOLERANCE:
             return Verdict(INFEASIBLE, reason="two-in-disk bound")
+    # the bound depends on r_j alone, so in a run of equal radii the last
+    # j is the strongest test
+    for j in range(2, k + 1):
+        last_of_run = j == k or radii[j] < radii[j - 1]
+        if last_of_run and j > _count_bound(container, radii[j - 1]):
+            return Verdict(INFEASIBLE, reason="count bound")
     witness = None
     if k == 1:
         r = radii[0]

@@ -4,7 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringpack.geometry import (
@@ -17,6 +17,8 @@ from ringpack.geometry import (
     Disk,
     Rect,
     Verdict,
+    _count_bound,
+    _inradius,
     analytic_prefilter,
     check_placements,
     expand_multiset,
@@ -162,6 +164,44 @@ class TestAnalyticPrefilter:
     def test_empty_multiset_feasible(self):
         v = analytic_prefilter(Disk(1.0), [])
         assert v is not None and v.status == FEASIBLE and v.witness == ()
+
+
+class TestCountBound:
+    def test_hexagonal_seven_in_disk_is_tight(self):
+        # one unit circle at the center and six around it fill Disk(3)
+        assert analytic_prefilter(Disk(3.0), [(1.0, 7)]) is None
+        v = analytic_prefilter(Disk(3.0), [(1.0, 8)])
+        assert v == Verdict(INFEASIBLE, reason="count bound")
+
+    def test_row_in_strip_is_tight(self):
+        # the centers lie on a segment of length 8: at most 8/2 + 1 of them
+        assert analytic_prefilter(Rect(2.0, 10.0), [(1.0, 5)]) is None
+        assert greedy_pack(Rect(2.0, 10.0), [(1.0, 5)]).status == FEASIBLE
+        v = analytic_prefilter(Rect(2.0, 10.0), [(1.0, 6)])
+        assert v == Verdict(INFEASIBLE, reason="count bound")
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_never_refutes_a_packable_set(self, data):
+        # up to two slightly larger radii, then as many of the smallest as
+        # push the total one past the bound there, so that every draw sits
+        # just beyond the rule's threshold; smallest radii at most about
+        # half the inradius leave the area bound silent on many draws
+        if data.draw(st.booleans()):
+            container = Disk(data.draw(st.floats(1.0, 4.0)))
+        else:
+            container = Rect(data.draw(st.floats(1.0, 8.0)), data.draw(st.floats(1.0, 8.0)))
+        r_min = data.draw(st.floats(0.3, 0.55)) * _inradius(container)
+        larger = data.draw(st.lists(st.floats(1.0, 1.3), max_size=2))
+        multiset = [(r_min * f, data.draw(st.integers(1, 3))) for f in larger]
+        others = sum(c for _, c in multiset)
+        multiset.append((r_min, max(1, math.floor(_count_bound(container, r_min)) + 1 - others)))
+        assume(sum(c for _, c in multiset) <= 9)
+        v = analytic_prefilter(container, multiset)
+        assert v is not None and v.status == INFEASIBLE
+        if v.reason == "count bound":
+            assert greedy_pack(container, multiset).status != FEASIBLE
+            assert verify_exact(container, multiset, node_limit=5000).status != FEASIBLE
 
 
 class TestVerifyExactSpecCases:

@@ -1,9 +1,12 @@
+import math
 import random
 
 import pytest
 
+from ringpack import geometry, oracle
 from ringpack.model import generate_instance, volume_lower_bound
 from ringpack.oracle import (
+    MAX_RING_COUNT,
     Intractable,
     brute_force_opt,
     enumerate_packable_rectangles,
@@ -114,3 +117,38 @@ def test_decomposition_lp_equality_on_seeds():
         sets = enumerate_patterns(inst)
         root = price_and_verify_root(inst, sets, SolveConfig())
         assert abs(root.root_value - dw) <= 1e-6, seed
+
+
+def test_optima_do_not_rest_on_the_count_bound(tiny3, monkeypatch):
+    # the oracle's _decide shares analytic_prefilter with the solver; with
+    # the count bound switched off it rests on the exact search alone and
+    # must reach the same optima
+    instances = [
+        tiny3,
+        make_instance(4, 4, [(0.4, 1.1, 5)]),
+        make_instance(4, 4, [(0.5, 0.7, 1), (1.0, 1.2, 1), (1.4, 1.8, 1)]),
+        *(generate_instance(2, 1.5, 2.0, 1.0, seed) for seed in range(6)),
+        *(generate_instance(2, 2.0, 2.0, 1.0, seed) for seed in range(4)),
+    ]
+    rng = random.Random(15)
+    while len(instances) < 60:
+        T, alpha = rng.choice([(2, 1.2), (2, 1.5), (3, 1.5), (4, 1.5), (6, 1.5)])
+        inst = generate_instance(T, alpha, 2.0, 1.0, rng.randint(1, 100))
+        if inst.ring_count <= MAX_RING_COUNT:
+            instances.append(inst)
+
+    reasons = []
+
+    def recording(container, multiset):
+        verdict = geometry.analytic_prefilter(container, multiset)
+        reasons.append(verdict and verdict.reason)
+        return verdict
+
+    monkeypatch.setattr(oracle, "analytic_prefilter", recording)
+    with_bound = [brute_force_opt(inst) for inst in instances]
+    assert "count bound" in reasons
+    monkeypatch.setattr(geometry, "_count_bound", lambda container, r: math.inf)
+    reasons.clear()
+    without = [brute_force_opt(inst) for inst in instances]
+    assert "count bound" not in reasons
+    assert without == with_bound

@@ -13,6 +13,7 @@ from ringpack.geometry import (
     check_placements,
     expand_multiset,
 )
+from ringpack.model import generate_instance
 from ringpack.patterns import (
     Budget,
     CircularPattern,
@@ -31,6 +32,7 @@ from ringpack.patterns import (
     rect_container,
     witness_slots,
 )
+from ringpack.solver import DESK_CONFIG
 
 # the classification of every TINY3 candidate, spelled out (0-based types)
 TINY3_FEASIBLE = {
@@ -181,6 +183,24 @@ class TestEnumerateTiny3:
         assert not (set(sets.feasible) & sets.infeasible)
         assert not (set(sets.feasible) & set(sets.unknown))
         assert not (sets.infeasible & set(sets.unknown))
+
+
+def test_count_bound_settles_the_unit_circles_in_radius_three():
+    # type 2's hole has radius 3 and type 0 is a unit circle: seven fit,
+    # and the count bound refutes eight before any search, so the walk
+    # never reaches nine
+    inst = generate_instance(3, 3.0, 3.0, 1.0, 2)
+    sets = enumerate_patterns(
+        inst,
+        limit=DESK_CONFIG.enumeration_limit,
+        budget=DESK_CONFIG.enumeration_budget,
+        filter_result=False,
+    )
+    eight = CircularPattern(2, (8, 0, 0))
+    assert sets.unknown == set()
+    assert eight in sets.infeasible
+    visited = {*sets.feasible, *sets.infeasible}
+    assert not any(dominates(p, eight) for p in visited)
 
 
 class TestBudgets:
