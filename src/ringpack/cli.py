@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 from pathlib import Path
 
 from .model import (
+    CONTAINMENT_BREACH,
     Instance,
     InvariantViolation,
     MalformedInput,
@@ -120,7 +122,8 @@ def _cmd_generate(args) -> int:
 def _cmd_enumerate(args) -> int:
     inst = _load_instance(args.instance)
     started = time.perf_counter()
-    sets = enumerate_patterns(inst, limit=args.limit, budget=args.budget)
+    config = SolveConfig(enumeration_limit=args.limit, enumeration_budget=args.budget)
+    sets = enumerate_patterns(inst, config)
     elapsed = time.perf_counter() - started
     print(
         f"feasible={len(sets.feasible)} unknown={len(sets.unknown)} "
@@ -173,6 +176,14 @@ def _cmd_render(args) -> int:
             )
         inst = _parse(parse_instance, block, args.solution, name=Path(args.solution).stem)
     solution = _parse(parse_solution, text, args.solution)
+    # a bad index, a parent cycle or a non-finite center leaves no sound picture
+    broken = [v.rings[0] for v in validate_solution(inst, solution).violations
+              if v.kind == CONTAINMENT_BREACH and v.magnitude == math.inf]
+    if broken:
+        raise SystemExit(
+            f"{args.solution}: ring {broken[0]} has a bad type, rectangle, "
+            "parent or center"
+        )
     Path(args.out).write_text(render_svg(inst, solution))
     print(f"wrote {args.out}")
     return 0
@@ -206,9 +217,9 @@ def main(argv=None) -> int:
 
     enum = subs.add_parser("enumerate", help="classify circular patterns")
     enum.add_argument("instance")
-    enum.add_argument("--limit", type=_seconds, default=10.0,
+    enum.add_argument("--limit", type=_seconds, default=SolveConfig.enumeration_limit,
                       help="per-candidate verification limit, seconds")
-    enum.add_argument("--budget", type=_seconds, default=1200.0,
+    enum.add_argument("--budget", type=_seconds, default=SolveConfig.enumeration_budget,
                       help="total enumeration budget, seconds")
     enum.add_argument("--dump", help="write the classified pattern list here")
     enum.set_defaults(func=_cmd_enumerate)

@@ -137,16 +137,13 @@ def parse_instance(text: str, name: str = "") -> Instance:
             raise MalformedInput(
                 f"line {lineno}: expected `r R D`, got {len(tokens)} tokens"
             )
-        try:
-            r, big_r = float(tokens[0]), float(tokens[1])
-            demand = int(tokens[2])
-        except ValueError:
-            bad = next(
-                (col for col, tok in enumerate(tokens, start=1) if _is_bad(tok, col)),
-                1,
-            )
-            raise MalformedInput(f"line {lineno}, column {bad}: bad number") from None
-        entries.append((r, big_r, demand))
+        values = []
+        for col, (token, kind) in enumerate(zip(tokens, (float, float, int)), start=1):
+            try:
+                values.append(kind(token))
+            except ValueError:
+                raise MalformedInput(f"line {lineno}, column {col}: bad number") from None
+        entries.append(tuple(values))
     if not entries:
         raise MalformedInput("no ring type lines")
     order = sorted(range(len(entries)), key=lambda i: (entries[i][1], i))
@@ -158,14 +155,6 @@ def parse_instance(text: str, name: str = "") -> Instance:
         except InvariantViolation as exc:
             raise InvariantViolation(f"type {pos + 1}: {exc}") from None
     return Instance(width, height, tuple(types), name=name, source_order=tuple(order))
-
-
-def _is_bad(token: str, col: int) -> bool:
-    try:
-        int(token) if col == 3 else float(token)
-        return False
-    except ValueError:
-        return True
 
 
 def write_instance(instance: Instance) -> str:

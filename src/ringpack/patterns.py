@@ -22,7 +22,7 @@ Type indices are 0-based throughout, here and in every serialized form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ringpack.geometry import (
     FEASIBLE,
@@ -175,6 +175,34 @@ def check_effort(name: str, value: float) -> float:
     return value
 
 
+@dataclass(frozen=True)
+class SolveConfig:
+    """Effort settings in virtual seconds (see Budget): a `_limit` caps one
+    exact search, a `_budget` one stage.  pricing_limit is the budget of
+    each pricing call, whose exact searches are capped by
+    enumeration_limit.  The defaults are the paper profile."""
+
+    enumeration_limit: float = 10.0
+    enumeration_budget: float = 1200.0
+    verification_limit: float = 10.0
+    verification_budget: float = 2400.0
+    pricing_limit: float = 300.0
+    ip_node_limit: int = 200_000
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            check_effort(f.name, getattr(self, f.name))
+
+
+DESK_CONFIG = SolveConfig(
+    enumeration_limit=1.0,
+    enumeration_budget=60.0,
+    verification_limit=5.0,
+    verification_budget=120.0,
+    pricing_limit=30.0,
+)
+
+
 def _nodes(seconds: float) -> float:
     """The most whole nodes whose virtual time stays within `seconds`;
     infinity stays infinite.  Rounding the product to nearest and stepping
@@ -253,14 +281,13 @@ def classify_counts(
 
 def enumerate_patterns(
     instance: Instance,
-    limit: float = 10.0,
-    budget: float = 1200.0,
+    config: SolveConfig = SolveConfig(),
     filter_result: bool = True,
 ) -> PatternSets:
     """Classify every circular-pattern candidate of the instance.
 
-    `limit` caps each exact search and `budget` the whole enumeration, both
-    in virtual seconds; the defaults are the paper profile's.
+    `config.enumeration_limit` caps each exact search and
+    `config.enumeration_budget` the whole enumeration.
 
     Each type's candidate_space is fed the proven-infeasible vectors, so a
     vector above a proof is neither visited nor stored.  Each candidate runs
@@ -273,7 +300,7 @@ def enumerate_patterns(
     walk visited.
     """
     sets = PatternSets()
-    stage = Budget(budget, limit)
+    stage = Budget(config.enumeration_budget, config.enumeration_limit)
     for t in range(instance.type_count):
         container = hole_container(instance, t)
         proven: set[tuple[int, ...]] = set()

@@ -25,7 +25,9 @@ from .model import Instance
 from .patterns import (
     Budget,
     RectangularPattern,
+    SolveConfig,
     classify_counts,
+    counts_multiset,
     rect_caps,
     rect_container,
 )
@@ -69,11 +71,10 @@ def farley_bound(nu: float, z_pricing: float) -> int:
     return math.ceil(nu / denom - 1e-9)
 
 
-def _density_order(instance: Instance, lam, caps):
+def _density_order(lam, caps, areas):
     order = []
-    for t in range(instance.type_count):
+    for t, area in enumerate(areas):
         if lam[t] > 0.0 and caps[t] > 0:
-            area = math.pi * instance.types[t].outer_radius ** 2
             order.append((-(lam[t] / area), t))
     order.sort()
     return [t for _, t in order]
@@ -89,12 +90,7 @@ def _greedy_phase(instance, lam, caps, order):
     for t in order:
         while counts[t] < caps[t]:
             counts[t] += 1
-            multiset = [
-                (instance.types[s].outer_radius, c)
-                for s, c in enumerate(counts)
-                if c
-            ]
-            verdict = greedy_pack(box, multiset)
+            verdict = greedy_pack(box, counts_multiset(instance, counts))
             if verdict.status == FEASIBLE:
                 witness = verdict.witness
             else:
@@ -108,23 +104,21 @@ def _greedy_phase(instance, lam, caps, order):
 def price_rectangular(
     instance: Instance,
     lam,
-    limit: float = 10.0,
-    budget: float = 300.0,
+    config: SolveConfig = SolveConfig(),
     cache: dict | None = None,
 ) -> PricingResult:
-    """Best rectangle pattern under prices `lam`.  `budget` (virtual
-    seconds) covers this call's branch and bound nodes plus its exact
-    searches; `limit` caps each exact search.  The defaults are the paper
-    profile's.  `cache` memoizes settled verdicts across calls (see
-    classify_counts)."""
+    """Best rectangle pattern under prices `lam`.  `config.pricing_limit`
+    (virtual seconds) covers this call's branch and bound nodes plus its
+    exact searches; `config.enumeration_limit` caps each exact search.
+    `cache` memoizes settled verdicts across calls (see classify_counts)."""
     caps = rect_caps(instance)
-    order = _density_order(instance, lam, caps)
+    areas = [math.pi * ring.outer_radius ** 2 for ring in instance.types]
+    order = _density_order(lam, caps, areas)
     if not order:
         # every price is nonpositive: the empty pattern is optimal, rc = 1
         return NoImprovement(proof=True)
 
     box = rect_container(instance)
-    areas = [math.pi * instance.types[t].outer_radius ** 2 for t in range(instance.type_count)]
     total_area = instance.width * instance.height
     # best lam per unit area among types from position i of the order onward
     tail_density = [0.0] * (len(order) + 1)
@@ -135,7 +129,7 @@ def price_rectangular(
     def upper_bound(value, used_area, pos):
         return value + max(0.0, total_area - used_area) * tail_density[pos]
 
-    stage = Budget(budget, limit)
+    stage = Budget(config.pricing_limit, config.enumeration_limit)
 
     best = _greedy_phase(instance, lam, caps, order)
     if best is not None:

@@ -230,45 +230,40 @@ class _Pivoter:
         return "cycling"
 
 
-def _attempt(lp: LinearProgram, bland: bool, use_warm: bool):
+def _warm_positions(lp: LinearProgram, active: list[int], m: int):
+    """Positions in the equality system of the stored basis, or None when
+    there is none or it no longer names m distinct live columns."""
+    if lp._basis is None or len(lp._basis) != m:
+        return None
+    pos_of = {j: pos for pos, j in enumerate(active)}
+    cols = []
+    for kind, ident in lp._basis:
+        if kind == "c":
+            if ident not in pos_of:
+                return None
+            cols.append(pos_of[ident])
+        elif 0 <= ident < m:
+            cols.append(len(active) + ident)
+        else:
+            return None
+    return cols if len(set(cols)) == m else None
+
+
+def _attempt(lp: LinearProgram, bland: bool):
     active, E, d, cost, flip = _dense(lp)
     m, n_total = E.shape
     n = len(active)
     piv = _Pivoter(E, d)
 
-    warm_ok = False
-    if use_warm and lp._basis is not None and len(lp._basis) == m:
-        tags = lp._basis
-        cols = []
-        valid = True
-        pos_of = {j: pos for pos, j in enumerate(active)}
-        for kind, ident in tags:
-            if kind == "c":
-                if ident in pos_of:
-                    cols.append(pos_of[ident])
-                else:
-                    valid = False
-                    break
-            else:
-                if 0 <= ident < m:
-                    cols.append(n + ident)
-                else:
-                    valid = False
-                    break
-        if valid and len(set(cols)) == m and piv.set_basis(cols):
-            if np.all(piv.xb() >= -1e-7):
-                warm_ok = True
-
-    art_lo = n_total
-    if not warm_ok:
+    cols = _warm_positions(lp, active, m)
+    if cols is None or not piv.set_basis(cols) or not np.all(piv.xb() >= -1e-7):
         # phase 1 with one artificial per row
-        E1 = np.hstack([E, np.eye(m)])
-        piv = _Pivoter(E1, d)
-        piv.set_basis(list(range(art_lo, art_lo + m)))
+        E = np.hstack([E, np.eye(m)])
+        piv = _Pivoter(E, d)
+        piv.set_basis(list(range(n_total, n_total + m)))
         cost1 = np.zeros(n_total + m)
-        cost1[art_lo:] = 1.0
-        allowed = np.ones(n_total + m, dtype=bool)
-        status = piv.run(cost1, allowed, bland)
+        cost1[n_total:] = 1.0
+        status = piv.run(cost1, np.ones(n_total + m, dtype=bool), bland)
         if status in ("singular", "cycling"):
             return None
         phase1_value = float(cost1[piv.basis] @ piv.xb())
@@ -276,58 +271,47 @@ def _attempt(lp: LinearProgram, bland: bool, use_warm: bool):
             return LpResult(INFEASIBLE)
         # drive basic artificials out where possible
         for pos in range(m):
-            if piv.basis[pos] >= art_lo:
-                row = piv.binv[pos, :] @ E1[:, :n_total]
+            if piv.basis[pos] >= n_total:
+                row = piv.binv[pos, :] @ E[:, :n_total]
                 pivot_col = next(
                     (jj for jj in range(n_total) if abs(row[jj]) > 1e-9), None
                 )
                 if pivot_col is not None:
                     piv.pivot(pivot_col, pos)
-        cost2 = np.concatenate([cost, np.zeros(m)])
-        allowed = np.ones(n_total + m, dtype=bool)
-        allowed[art_lo:] = False
-        status = piv.run(cost2, allowed, bland)
-        if status in ("singular", "cycling"):
-            return None
-        if status == "unbounded":
-            return LpResult(UNBOUNDED)
-        E_final, cost_final = E1, cost2
-    else:
-        allowed = np.ones(n_total, dtype=bool)
-        status = piv.run(cost, allowed, bland)
-        if status in ("singular", "cycling"):
-            return None
-        if status == "unbounded":
-            return LpResult(UNBOUNDED)
-        E_final, cost_final = E, cost
+        cost = np.concatenate([cost, np.zeros(m)])
+
+    # phase 2; after a cold start the artificials may not re-enter
+    status = piv.run(cost, np.arange(E.shape[1]) < n_total, bland)
+    if status in ("singular", "cycling"):
+        return None
+    if status == "unbounded":
+        return LpResult(UNBOUNDED)
 
     xb = piv.xb()
-    x = np.zeros(E_final.shape[1])
+    x = np.zeros(E.shape[1])
     x[piv.basis] = xb
-    y = cost_final[piv.basis] @ piv.binv
+    y = cost[piv.basis] @ piv.binv
 
     # KKT audit: primal feasibility, dual feasibility, duality gap
     if np.any(x[:n_total] < -1e-7):
         return None
-    if E_final.shape[1] > n_total and np.any(np.abs(x[n_total:]) > 1e-7):
+    if np.any(np.abs(x[n_total:]) > 1e-7):
         return None  # an artificial kept a nonzero value past phase 1
-    residual = E_final[:, :n_total] @ x[:n_total]
+    residual = E[:, :n_total] @ x[:n_total]
     scale = 1.0 + float(np.max(np.abs(d))) if m else 1.0
     if m and np.max(np.abs(residual - d)) > 1e-7 * scale:
         return None
-    rc = cost_final - y @ E_final
+    rc = cost - y @ E
     if np.any(rc[: n_total] < -1e-6):
         return None
-    obj = float(cost_final @ x)
+    obj = float(cost @ x)
     dual_obj = float(y @ d)
     if abs(obj - dual_obj) > KKT_REL * (1.0 + abs(obj)):
         return None
 
     primal = {j: 0.0 for j in range(lp.column_count)}
     for pos, j in enumerate(active):
-        primal[j] = float(x[pos]) if abs(x[pos]) > ZERO_TOL else max(0.0, float(x[pos]))
-        if abs(primal[j]) < ZERO_TOL:
-            primal[j] = 0.0
+        primal[j] = float(x[pos]) if abs(x[pos]) > ZERO_TOL else 0.0
     duals = {}
     for i in range(m):
         value = float(y[i] * flip[i])
@@ -340,7 +324,7 @@ def _attempt(lp: LinearProgram, bland: bool, use_warm: bool):
         elif b < n_total:
             tags.append(("s", b - n))
         else:
-            tags.append(("s", b - art_lo))  # artificial stuck at zero: remember its row slack
+            tags.append(("s", b - n_total))  # artificial stuck at zero: remember its row slack
     lp._basis = tags
     return LpResult(OPTIMAL, primal, duals, obj)
 
@@ -354,13 +338,9 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     """
     if lp.row_count == 0:
         return LpResult(OPTIMAL, {j: 0.0 for j in range(lp.column_count)}, {}, 0.0)
-    result = _attempt(lp, bland=False, use_warm=True)
-    if result is None:
+    for bland in (False, False, True):
+        result = _attempt(lp, bland)
+        if result is not None:
+            return result
         lp._basis = None
-        result = _attempt(lp, bland=False, use_warm=False)
-    if result is None:
-        lp._basis = None
-        result = _attempt(lp, bland=True, use_warm=False)
-    if result is None:
-        raise NumericalFailure("simplex failed the optimality audit")
-    return result
+    raise NumericalFailure("simplex failed the optimality audit")

@@ -8,18 +8,18 @@ incumbent; reconstruction turns pattern counts plus stored witnesses into
 ring placements.  Every budget counts exact-search nodes, written as
 virtual seconds at a fixed node rate, so reruns are bit-identical.
 
-Dual bookkeeping is deliberately conservative: the rounded-up root LP value
-counts only while pricing has proven LP optimality and no unverified
-pattern has been forced out; Farley-style bounds from truncated pricing and
-the material volume bound count always.  The primal side always holds a
-validator-clean incumbent because single-chain nesting (one ring chain per
-rectangle) packs any instance.
+Dual bookkeeping is deliberately conservative.  LP-based bounds count only
+while no unverified pattern has been forced out: the rounded-up root LP
+value once pricing has proven it optimal, and the Farley-style bound of
+each truncated pricing pass.  The material volume bound counts always.
+The primal side always holds a validator-clean incumbent because
+single-chain nesting (one ring chain per rectangle) packs any instance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import master as master_mod
 from .geometry import FEASIBLE, INFEASIBLE, NODES_PER_SECOND
@@ -31,12 +31,14 @@ from .model import (
     validate_solution,
     volume_lower_bound,
 )
+# DESK_CONFIG and SolveConfig are also read from here (ringpack.solver)
 from .patterns import (
+    DESK_CONFIG,
     Budget,
     CircularPattern,
     PatternSets,
     RectangularPattern,
-    check_effort,
+    SolveConfig,
     classify_counts,
     enumerate_patterns,
     hole_container,
@@ -56,34 +58,6 @@ from .simplex import ZERO_TOL
 
 class InconsistentMultiset(ValueError):
     """Pattern counts that no slot assignment can realize."""
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Effort settings in virtual seconds (see Budget): a `_limit` caps one
-    exact search, a `_budget` one stage.  pricing_limit is the budget of
-    each pricing call, whose exact searches are capped by
-    enumeration_limit."""
-
-    enumeration_limit: float = 10.0
-    enumeration_budget: float = 1200.0
-    verification_limit: float = 10.0
-    verification_budget: float = 2400.0
-    pricing_limit: float = 300.0
-    ip_node_limit: int = 200_000
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            check_effort(f.name, getattr(self, f.name))
-
-
-DESK_CONFIG = SolveConfig(
-    enumeration_limit=1.0,
-    enumeration_budget=60.0,
-    verification_limit=5.0,
-    verification_budget=120.0,
-    pricing_limit=30.0,
-)
 
 
 @dataclass
@@ -127,24 +101,22 @@ def price_and_verify_root(
 
     Pricing runs until proven optimal, out of improvements, out of budget,
     or back at a column the LP already holds; a truncated pricing pass
-    leaves a Farley bound behind, and a pass that ends without a proof is
-    never re-entered.  Whenever the LP leans on an unknown pattern, that
+    leaves a Farley bound behind unless patterns have been forced out, and
+    a pass that ends without a proof is never re-entered.  Whenever the LP leans on an unknown pattern, that
     pattern is verified: packable ones are promoted, impossible ones are
     fixed to zero and pricing resumes, undecidable ones are flagged.  If
     flagged patterns still carry value once everything else settles, they
     are all forced out, which keeps the column pool honest but invalidates
     LP-based dual bounds from that point on.
     """
-    circulars = sorted(set(sets.feasible) | sets.unknown)
-    model = build_master(instance, circulars)
+    sets = PatternSets(dict(sets.feasible), set(sets.infeasible), set(sets.unknown))
+    unknown = sets.unknown
+    model = build_master(instance, sorted(set(sets.feasible) | unknown))
 
     verify_budget = Budget(config.verification_budget, config.verification_limit)
     pricing_cache: dict = {}  # settled rectangle verdicts, kept across pricing calls
 
-    unknown = set(sets.unknown)
     tested: set[CircularPattern] = set()  # verified without a verdict
-    feasible = dict(sets.feasible)
-    infeasible = set(sets.infeasible)
     rect_witnesses: dict[RectangularPattern, tuple] = {}
 
     farleys: list[int] = []
@@ -164,11 +136,7 @@ def price_and_verify_root(
         while not pricing_dead and not lp_converged:
             pricing_calls += 1
             outcome = price_rectangular(
-                instance,
-                master_mod.duals(model),
-                limit=config.enumeration_limit,
-                budget=config.pricing_limit,
-                cache=pricing_cache,
+                instance, master_mod.duals(model), config, cache=pricing_cache
             )
             if (isinstance(outcome, ImprovingColumn)
                     and outcome.pattern not in model.rect_cols):
@@ -177,7 +145,8 @@ def price_and_verify_root(
                 rect_witnesses[outcome.pattern] = outcome.witness
                 value = master_mod.lp_relax_value(model)
                 continue
-            if isinstance(outcome, BoundOnly):
+            if isinstance(outcome, BoundOnly) and dual_valid:
+                # after a force-out the LP is a restriction, not a relaxation
                 farleys.append(farley_bound(value, outcome.z_pricing))
             # only a completed search proves this LP optimal; a column the LP
             # already holds may come from pricing's greedy phase alone, so
@@ -211,10 +180,10 @@ def price_and_verify_root(
             verify_budget,
         )
         if verdict.status == FEASIBLE:
-            feasible[pattern] = verdict.witness
+            sets.feasible[pattern] = verdict.witness
             unknown.remove(pattern)
         elif verdict.status == INFEASIBLE:
-            infeasible.add(pattern)
+            sets.infeasible.add(pattern)
             unknown.remove(pattern)
             master_mod.fix_circular_zero(model, pattern)
             lp_converged = False  # the LP changed: pricing gets another say
@@ -224,7 +193,7 @@ def price_and_verify_root(
 
     return RootResult(
         master=model,
-        sets=PatternSets(feasible=feasible, infeasible=infeasible, unknown=unknown),
+        sets=sets,
         rect_witnesses=rect_witnesses,
         root_value=value,
         dual_valid=dual_valid,
@@ -255,7 +224,7 @@ def solve_restricted_ip(model: MasterModel, config: SolveConfig = SolveConfig())
     int_tol = 1e-6
 
     obj = base.obj
-    stack: list[tuple] = [()]  # tuples of (col, "up"/"down", bound)
+    stack: list[tuple] = [()]  # tuples of (coefs, rhs) branch rows
     while stack:
         if nodes >= config.ip_node_limit:
             proven = False
@@ -263,11 +232,8 @@ def solve_restricted_ip(model: MasterModel, config: SolveConfig = SolveConfig())
         branch_rows = stack.pop()
         nodes += 1
         lp = base.copy()
-        for col, sense, bound in branch_rows:
-            if sense == "up":
-                lp.add_row({col: 1.0}, float(bound))
-            else:
-                lp.add_row({col: -1.0}, -float(bound))
+        for coefs, rhs in branch_rows:
+            lp.add_row(coefs, rhs)
         res = lp.solve()
         if res.status == LP_INFEASIBLE:
             continue
@@ -290,8 +256,8 @@ def solve_restricted_ip(model: MasterModel, config: SolveConfig = SolveConfig())
             continue
         fractional.sort()
         _, _, col, x = fractional[0]
-        down = branch_rows + ((col, "down", math.floor(x)),)
-        up = branch_rows + ((col, "up", math.ceil(x)),)
+        down = branch_rows + (({col: -1.0}, -float(math.floor(x))),)  # x <= floor
+        up = branch_rows + (({col: 1.0}, float(math.ceil(x))),)
         if x - math.floor(x) > 0.5:
             stack.append(down)
             stack.append(up)  # popped first
@@ -361,11 +327,16 @@ def reconstruct_placements(
     for pattern in sorted(circ_patterns):
         uses[pattern.outer_type].extend([pattern] * circ_patterns[pattern])
 
-    # types ascend by outer radius, so a hole's content has a strictly
-    # lower index than its parent: the descending pass below always
-    # places parents before the slots they open get claimed
+    # a hole of type s holds type t only if R_t <= r_s <= R_s, so visiting
+    # types by (R, r) descending places every parent before the slots it
+    # opens get claimed; that includes a zero-wall parent (r_s = R_s) and
+    # content of equal R.  Two identical zero-wall types can hold each
+    # other, and no order serves both; that case is left out.
+    def size(t):
+        return instance.types[t].outer_radius, instance.types[t].inner_radius, t
+
     placed: list[list] = []  # [type, rect, parent, x, y]
-    for t in range(tc - 1, -1, -1):
+    for t in sorted(range(tc), key=size, reverse=True):
         if len(uses[t]) < instance.types[t].demand:
             raise InconsistentMultiset(
                 f"type {t}: {len(uses[t])} uses for demand "
@@ -451,9 +422,7 @@ def fallback_solution(instance: Instance) -> PlacedSolution:
 
 
 def solve(instance: Instance, config: SolveConfig = SolveConfig()) -> SolveReport:
-    sets = enumerate_patterns(
-        instance, limit=config.enumeration_limit, budget=config.enumeration_budget
-    )
+    sets = enumerate_patterns(instance, config)
     root = price_and_verify_root(instance, sets, config)
 
     assign, ip_proven, ip_nodes = solve_restricted_ip(root.master, config)

@@ -200,6 +200,20 @@ class TestRender:
             main(["render", str(report), "-o", str(tmp_path / "x.svg")])
         assert str(exc.value).startswith(f"{report}: ") and "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("line", [
+        "7 0 -1 1 1",  # type 7 of three
+        "0 0 5 1 1",  # parent 5 of one ring
+        "0 3 -1 1 1",  # rectangle 3 of one
+    ])
+    def test_bad_index_is_one_line_error(self, tiny3_file, tmp_path, line):
+        sol = tmp_path / "bad.sol"
+        sol.write_text(f"rectangles 1\nrings 1\n{line}\n")
+        svg = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["render", str(sol), "-o", str(svg), "--instance", str(tiny3_file)])
+        assert str(exc.value).startswith(f"{sol}: ring 0 ")
+        assert "\n" not in str(exc.value) and not svg.exists()
+
 
 class TestGenerate:
     def test_deterministic_and_parseable(self, tmp_path, capsys):

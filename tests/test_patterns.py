@@ -32,7 +32,7 @@ from ringpack.patterns import (
     rect_container,
     witness_slots,
 )
-from ringpack.solver import DESK_CONFIG
+from ringpack.solver import DESK_CONFIG, SolveConfig
 
 # the classification of every TINY3 candidate, spelled out (0-based types)
 TINY3_FEASIBLE = {
@@ -190,12 +190,7 @@ def test_count_bound_settles_the_unit_circles_in_radius_three():
     # and the count bound refutes eight before any search, so the walk
     # never reaches nine
     inst = generate_instance(3, 3.0, 3.0, 1.0, 2)
-    sets = enumerate_patterns(
-        inst,
-        limit=DESK_CONFIG.enumeration_limit,
-        budget=DESK_CONFIG.enumeration_budget,
-        filter_result=False,
-    )
+    sets = enumerate_patterns(inst, DESK_CONFIG, filter_result=False)
     eight = CircularPattern(2, (8, 0, 0))
     assert sets.unknown == set()
     assert eight in sets.infeasible
@@ -205,13 +200,15 @@ def test_count_bound_settles_the_unit_circles_in_radius_three():
 
 class TestBudgets:
     def test_zero_budget_still_classifies_cheap_candidates(self, tiny3):
-        sets = enumerate_patterns(tiny3, budget=0.0, filter_result=False)
+        starved = SolveConfig(enumeration_budget=0.0)
+        sets = enumerate_patterns(tiny3, starved, filter_result=False)
         assert set(sets.feasible) == TINY3_FEASIBLE
         assert sets.unknown == {CircularPattern(2, (1, 1, 0))}
         assert CircularPattern(2, (2, 1, 0)) in sets.infeasible
 
     def test_budget_monotonicity(self, tiny3):
-        lean = enumerate_patterns(tiny3, budget=0.0, filter_result=False)
+        starved = SolveConfig(enumeration_budget=0.0)
+        lean = enumerate_patterns(tiny3, starved, filter_result=False)
         rich = enumerate_patterns(tiny3, filter_result=False)
         assert set(lean.feasible) <= set(rich.feasible)
         assert set(rich.unknown) <= set(lean.unknown)

@@ -19,7 +19,7 @@ from ringpack.pricing import (
     price_rectangular,
     reduced_cost,
 )
-from ringpack.patterns import RectangularPattern
+from ringpack.patterns import RectangularPattern, SolveConfig
 
 from conftest import make_instance
 
@@ -125,7 +125,7 @@ def test_zero_duals_prove_no_improvement(tiny3):
 
 def test_zero_budget_returns_root_area_bound(tiny3):
     lam = (0.2, 0.2, 0.2)
-    result = price_rectangular(tiny3, lam, budget=0.0)
+    result = price_rectangular(tiny3, lam, SolveConfig(pricing_limit=0.0))
     assert isinstance(result, BoundOnly)
     density = max(
         l / (math.pi * t.outer_radius**2) for l, t in zip(lam, tiny3.types)
@@ -136,7 +136,8 @@ def test_zero_budget_returns_root_area_bound(tiny3):
 
 def test_small_duals_zero_budget_still_proves(tiny3):
     # with tiny duals even the root area bound is below 1: proof for free
-    result = price_rectangular(tiny3, (0.05, 0.05, 0.05), budget=0.0)
+    starved = SolveConfig(pricing_limit=0.0)
+    result = price_rectangular(tiny3, (0.05, 0.05, 0.05), starved)
     assert isinstance(result, NoImprovement)
     assert result.proof
 
@@ -147,7 +148,7 @@ def test_bound_only_is_valid_lower_bound(tiny3):
     vectors = _direct_rect_vectors(tiny3)
     lam = (0.2, 0.2, 0.2)
     best = max(sum(l * c for l, c in zip(lam, v)) for v in vectors)
-    result = price_rectangular(tiny3, lam, budget=0.0)
+    result = price_rectangular(tiny3, lam, SolveConfig(pricing_limit=0.0))
     assert isinstance(result, BoundOnly)
     assert result.z_pricing <= 1.0 - best + 1e-9
 

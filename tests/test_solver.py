@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringpack import solver
+from ringpack import master, solver
 from ringpack.cli import format_report
 from ringpack.geometry import UNKNOWN, verify_exact
 from ringpack.model import (
@@ -25,7 +25,7 @@ from ringpack.patterns import (
     rect_container,
 )
 from ringpack.oracle import brute_force_opt
-from ringpack.pricing import ImprovingColumn
+from ringpack.pricing import BoundOnly, ImprovingColumn
 from ringpack.solver import (
     InconsistentMultiset,
     SolveConfig,
@@ -125,6 +125,15 @@ class TestSolveEndToEnd:
             if report.dual_valid:
                 assert report.dual_bound <= brute_force_opt(inst)
 
+    def test_equal_outer_radii_reconstruct(self):
+        # type 0 has a zero wall (r = R = 1.2) and holds a solid type 1 of
+        # the same outer radius: reconstruction must place it first
+        tie = parse_instance("4 4\n1.2 1.2 1\n0.0 1.2 2\n", name="TIE")
+        report = solve(tie)
+        assert (report.primal_bound, report.dual_bound, report.gap) == (2, 2, 0.0)
+        check = validate_solution(tie, report.incumbent)
+        assert check.feasible, check.violations
+
     def test_deterministic_resolve(self, tiny3):
         first = solve(tiny3)
         second = solve(tiny3)
@@ -169,6 +178,29 @@ class TestVerificationBranches:
         assert root.root_value == pytest.approx(4 / 3)
         assert volume_lower_bound(PLANT) <= root.best_dual <= brute_force_opt(PLANT)
 
+    def test_no_farley_bound_after_force_out(self, monkeypatch):
+        # once an unknown pattern is forced out the LP is a restriction, so
+        # a bound from truncated pricing over it need not hold
+        real_fix, real_price = master.fix_circular_zero, solver.price_rectangular
+        forced = []
+
+        def fix(model, pattern):
+            forced.append(pattern)
+            real_fix(model, pattern)
+
+        def price(*args, **kwargs):
+            return BoundOnly(-1.0) if forced else real_price(*args, **kwargs)
+
+        monkeypatch.setattr(master, "fix_circular_zero", fix)
+        monkeypatch.setattr(solver, "price_rectangular", price)
+        config = dataclasses.replace(
+            SolveConfig(), verification_limit=1e-7, verification_budget=1e-6
+        )
+        root = price_and_verify_root(PLANT, plant_unknown(BAD), config)
+        assert forced == [BAD] and not root.dual_valid
+        assert root.pricing_calls >= 2
+        assert root.farley_bounds == []
+
     def test_repriced_known_column_proves_nothing(self, monkeypatch):
         # pricing may return a column from its greedy phase without any
         # search, so seeing one the LP already holds says nothing about the
@@ -200,9 +232,7 @@ class TestBudgetEnforcement:
     @settings(max_examples=40, deadline=None)
     def test_stage_budgets_hold(self, inst, **seconds):
         config = SolveConfig(**seconds)
-        sets = enumerate_patterns(
-            inst, limit=config.enumeration_limit, budget=config.enumeration_budget
-        )
+        sets = enumerate_patterns(inst, config)
         root = price_and_verify_root(inst, sets, config)
         assert root.verification_spent <= config.verification_budget
         report = solve(inst, config)
